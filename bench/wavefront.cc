@@ -2,8 +2,9 @@
 // BuildTargets + ProgressiveSample call per query, the pre-wavefront serving
 // path) against the batched wavefront plane (EstimateCards: all in-flight
 // query x sample lanes advance one column per step through shared trunk
-// forwards), plus the int8-quantized backend riding the same wavefront and an
-// ungated wave-width sweep.
+// forwards), plus the int8-quantized backend riding the same wavefront, an
+// ungated wave-width sweep, and join sub-plans on the JOB-M-like IMDB star
+// (per-query EstimateJoinCard vs batched EstimateJoinCards, informational).
 //
 // Emits BENCH_wavefront.json in the BENCH_kernels.json schema. The gated
 // entry is `wavefront/estimate_throughput`: its `speedup_vs_ref` is wavefront
@@ -11,7 +12,8 @@
 // transfers across machines and bench/compare_bench.py applies the usual >25%
 // regression rule plus the 5x acceptance floor. Because the wavefront is
 // parity-pinned (tests/sampler_conformance_test.cc), the bench also hard-fails
-// if the two paths ever disagree bitwise on the measured workload.
+// if the two paths ever disagree bitwise on the measured workload, single-
+// table or join.
 //
 // All aggregation routes through util/quantiles (median over reps) — no local
 // quantile code.
@@ -19,6 +21,7 @@
 // Usage:
 //   bench_wavefront [--out=BENCH_wavefront.json] [--rows=4000] [--queries=64]
 //                   [--ps-samples=512] [--wave-width=8] [--reps=3]
+//                   [--join-titles=2000] [--join-queries=4]
 //
 // The default sample count (512) is the serving-realistic regime (the paper
 // runs progressive sampling with 2000 samples on DMV); prefix deduplication
@@ -34,6 +37,7 @@
 #include "core/targets.h"
 #include "core/uae.h"
 #include "core/wavefront.h"
+#include "data/imdb_star.h"
 #include "data/synthetic.h"
 #include "util/json.h"
 #include "util/mathutil.h"
@@ -41,6 +45,7 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "workload/generator.h"
+#include "workload/join_workload.h"
 
 namespace uae::bench {
 namespace {
@@ -52,6 +57,8 @@ struct Options {
   int ps_samples = 512;
   int wave_width = 8;
   int reps = 3;  ///< Timed repetitions; the median qps is kept.
+  int join_titles = 2000;  ///< Fact-table rows of the join universe.
+  int join_queries = 4;    ///< Join queries; all their sub-plans are estimated.
 };
 
 struct Result {
@@ -83,6 +90,10 @@ int Run(int argc, char** argv) {
   opt.ps_samples = std::max<int>(8, static_cast<int>(flags.GetInt("ps-samples", opt.ps_samples)));
   opt.wave_width = std::max<int>(1, static_cast<int>(flags.GetInt("wave-width", opt.wave_width)));
   opt.reps = std::max<int>(1, static_cast<int>(flags.GetInt("reps", opt.reps)));
+  opt.join_titles =
+      std::max<int>(200, static_cast<int>(flags.GetInt("join-titles", opt.join_titles)));
+  opt.join_queries =
+      std::max<int>(1, static_cast<int>(flags.GetInt("join-queries", opt.join_queries)));
 
   // Model under measurement: serving cost is what matters, so train briefly.
   data::Table table = data::SyntheticDmv(static_cast<size_t>(opt.rows), 11);
@@ -174,6 +185,54 @@ int Run(int argc, char** argv) {
     results.push_back({name, 1e9 / width_qps, width_qps, 0.0});
   }
 
+  // (e) Join sub-plans, as the optimizer asks for them: every sub-plan that
+  // keeps the fact table, of focused JOB-M-like queries. Per-query
+  // EstimateJoinCard (the cross-check sampler) vs batched EstimateJoinCards
+  // (the served path). Informational: no speedup_vs_ref, so no gate.
+  data::ImdbStarConfig star;
+  star.num_titles = static_cast<size_t>(opt.join_titles);
+  star.dims = data::JobMDims();
+  const data::JoinUniverse uni = data::BuildImdbStar(star);
+  core::Uae join_uae(uni, config);
+  join_uae.TrainDataEpochs(1);
+  workload::JoinQueryGenerator join_gen(uni, workload::JoinGeneratorConfig{}, 41);
+  std::vector<workload::JoinQuery> subplans;
+  for (int i = 0; i < opt.join_queries; ++i) {
+    const workload::JoinQuery q = join_gen.Generate();
+    for (uint32_t sub = 1; sub <= q.table_mask; ++sub) {
+      if ((sub & q.table_mask) == sub && (sub & 1u) != 0) {
+        subplans.push_back(workload::RestrictToSubset(uni, q, sub));
+      }
+    }
+  }
+  const int num_subplans = static_cast<int>(subplans.size());
+  std::vector<double> join_per_query(subplans.size());
+  const double join_legacy_qps = MeasureQps(opt.reps, num_subplans, [&] {
+    for (size_t i = 0; i < subplans.size(); ++i) {
+      join_per_query[i] = join_uae.EstimateJoinCard(subplans[i]);
+    }
+  });
+  std::vector<double> join_wave;
+  const double join_wave_qps = MeasureQps(opt.reps, num_subplans, [&] {
+    join_wave = join_uae.EstimateJoinCards(subplans);
+  });
+  std::printf("  join per-query  : %8.1f q/s  (%d sub-plans)\n", join_legacy_qps,
+              num_subplans);
+  std::printf("  join wavefront  : %8.1f q/s  (%.2fx per-query)\n", join_wave_qps,
+              join_wave_qps / join_legacy_qps);
+  for (size_t i = 0; i < subplans.size(); ++i) {
+    if (join_wave[i] != join_per_query[i]) {
+      std::fprintf(stderr,
+                   "PARITY VIOLATION: join sub-plan %zu wavefront %.17g per-query %.17g\n",
+                   i, join_wave[i], join_per_query[i]);
+      return 1;
+    }
+  }
+  results.push_back({"wavefront/join_per_query", 1e9 / join_legacy_qps,
+                     join_legacy_qps, 0.0});
+  results.push_back({"wavefront/join_estimate_throughput", 1e9 / join_wave_qps,
+                     join_wave_qps, 0.0});
+
   util::JsonWriter w;
   w.BeginObject();
   w.Member("schema_version", 1);
@@ -183,6 +242,8 @@ int Run(int argc, char** argv) {
   w.Member("ps_samples", opt.ps_samples);
   w.Member("wave_width", opt.wave_width);
   w.Member("reps", opt.reps);
+  w.Member("join_titles", opt.join_titles);
+  w.Member("join_queries", opt.join_queries);
 #ifdef NDEBUG
   w.Member("optimized_build", true);
 #else

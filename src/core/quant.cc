@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/mathutil.h"
-
 namespace uae::core {
 
 namespace {
@@ -98,21 +96,9 @@ QuantizedUae::QuantizedUae(const Uae& source, const QuantizeOptions& options)
 
 std::vector<double> QuantizedUae::EstimateSelectivities(
     std::span<const workload::Query> queries) const {
-  std::vector<QueryTargets> targets;
-  std::vector<util::Rng> rngs;
-  targets.reserve(queries.size());
-  rngs.reserve(queries.size());
-  for (const workload::Query& q : queries) {
-    targets.push_back(BuildTargets(q, *table_, *schema_));
-    // Same (seed, fingerprint) scheme as Uae::EstimationRng: the quantized
-    // snapshot consumes the identical per-query stream as its fp32 source.
-    rngs.push_back(util::Rng(
-        util::SplitMix64(config_.seed ^ util::SplitMix64(q.Fingerprint()))));
-  }
-  WavefrontConfig wc;
-  wc.num_samples = config_.ps_samples;
-  wc.wave_width = std::max(1, config_.wavefront_width);
-  return WavefrontSampleSelectivities(*backend_, targets, rngs, wc);
+  // Same per-query streams as the fp32 source (WavefrontSelectivities seeds
+  // them as Uae does), over the quantized plane.
+  return WavefrontSelectivities(*backend_, config_, *table_, queries);
 }
 
 double QuantizedUae::EstimateSelectivity(const workload::Query& query) const {
@@ -134,21 +120,8 @@ std::vector<double> QuantizedUae::EstimateJoinCards(
     std::span<const workload::JoinQuery> queries) const {
   UAE_CHECK(universe_ != nullptr)
       << "join query on a quantized single-table snapshot";
-  std::vector<QueryTargets> targets;
-  std::vector<util::Rng> rngs;
-  targets.reserve(queries.size());
-  rngs.reserve(queries.size());
-  for (const workload::JoinQuery& q : queries) {
-    targets.push_back(BuildJoinTargets(q, *universe_, *schema_));
-    // Joins seed from JoinFingerprint (predicate x table-mask mix), the same
-    // stream Uae::EstimateJoinCard consumes.
-    rngs.push_back(util::Rng(util::SplitMix64(
-        config_.seed ^ util::SplitMix64(workload::JoinFingerprint(q)))));
-  }
-  WavefrontConfig wc;
-  wc.num_samples = config_.ps_samples;
-  wc.wave_width = std::max(1, config_.wavefront_width);
-  std::vector<double> cards = WavefrontSampleSelectivities(*backend_, targets, rngs, wc);
+  std::vector<double> cards =
+      WavefrontSelectivities(*backend_, config_, *universe_, queries);
   for (double& c : cards) c *= static_cast<double>(universe_->full_join_rows);
   return cards;
 }

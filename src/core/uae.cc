@@ -8,7 +8,6 @@
 #include "util/logging.h"
 #include "util/mathutil.h"
 #include "util/stopwatch.h"
-#include "util/threadpool.h"
 
 namespace uae::core {
 
@@ -365,13 +364,59 @@ void Uae::IngestWorkload(const workload::Workload& workload, int epochs) {
   TrainQuerySteps(workload, epochs * steps_per_epoch);
 }
 
-util::Rng Uae::EstimationRng(uint64_t fingerprint) const {
-  return util::Rng(util::SplitMix64(config_.seed ^ util::SplitMix64(fingerprint)));
+util::Rng EstimationRng(uint64_t seed, uint64_t fingerprint) {
+  return util::Rng(util::SplitMix64(seed ^ util::SplitMix64(fingerprint)));
+}
+
+namespace {
+
+uint64_t Fingerprint(const workload::Query& q) { return q.Fingerprint(); }
+uint64_t Fingerprint(const workload::JoinQuery& q) {
+  return workload::JoinFingerprint(q);
+}
+
+/// Shared body of the WavefrontSelectivities overloads; `compile` maps a
+/// query to its targets.
+template <typename Q, typename Compile>
+std::vector<double> RunWavefront(const InferenceBackend& backend,
+                                 const UaeConfig& config, std::span<const Q> queries,
+                                 const Compile& compile) {
+  std::vector<QueryTargets> targets;
+  std::vector<util::Rng> rngs;
+  targets.reserve(queries.size());
+  rngs.reserve(queries.size());
+  for (const Q& q : queries) {
+    targets.push_back(compile(q));
+    rngs.push_back(EstimationRng(config.seed, Fingerprint(q)));
+  }
+  WavefrontConfig wc;
+  wc.num_samples = config.ps_samples;
+  wc.wave_width = std::max(1, config.wavefront_width);
+  return WavefrontSampleSelectivities(backend, targets, rngs, wc);
+}
+
+}  // namespace
+
+std::vector<double> WavefrontSelectivities(const InferenceBackend& backend,
+                                           const UaeConfig& config,
+                                           const data::Table& table,
+                                           std::span<const workload::Query> queries) {
+  return RunWavefront(backend, config, queries, [&](const workload::Query& q) {
+    return BuildTargets(q, table, backend.schema());
+  });
+}
+
+std::vector<double> WavefrontSelectivities(
+    const InferenceBackend& backend, const UaeConfig& config,
+    const data::JoinUniverse& universe, std::span<const workload::JoinQuery> queries) {
+  return RunWavefront(backend, config, queries, [&](const workload::JoinQuery& q) {
+    return BuildJoinTargets(q, universe, backend.schema());
+  });
 }
 
 double Uae::EstimateSelectivity(const workload::Query& query) const {
   QueryTargets targets = BuildTargets(query, *table_, schema_);
-  util::Rng rng = EstimationRng(query.Fingerprint());
+  util::Rng rng = EstimationRng(config_.seed, query.Fingerprint());
   return ProgressiveSample(*model_, targets, config_.ps_samples, &rng);
 }
 
@@ -379,42 +424,12 @@ double Uae::EstimateCard(const workload::Query& query) const {
   return EstimateSelectivity(query) * static_cast<double>(num_rows_);
 }
 
-namespace {
-
-/// Runs `estimate_one(i)` for i in [0, n), fanning across the pool. Batches
-/// smaller than the pool fan out over queries poorly while the in-worker
-/// inline rule suppresses nested GEMM parallelism, so those run sequentially
-/// (with parallel GEMMs) instead. Results are index-deterministic either way.
-void ForEachQuery(size_t n, const std::function<void(size_t)>& estimate_one) {
-  auto chunk = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) estimate_one(i);
-  };
-  if (n < util::GlobalPool().num_threads()) {
-    chunk(0, n);
-  } else {
-    util::ParallelFor(0, n, chunk, /*min_parallel_size=*/1);
-  }
-}
-
-}  // namespace
-
 std::vector<double> Uae::EstimateSelectivities(
     std::span<const workload::Query> queries) const {
   // Wavefront path: all queries advance column-by-column through shared
   // batched forwards over the frozen backend. Per-query RNG purity keeps
   // every element bit-identical to EstimateSelectivity(queries[i]).
-  std::vector<QueryTargets> targets;
-  std::vector<util::Rng> rngs;
-  targets.reserve(queries.size());
-  rngs.reserve(queries.size());
-  for (const workload::Query& q : queries) {
-    targets.push_back(BuildTargets(q, *table_, schema_));
-    rngs.push_back(EstimationRng(q.Fingerprint()));
-  }
-  WavefrontConfig wc;
-  wc.num_samples = config_.ps_samples;
-  wc.wave_width = std::max(1, config_.wavefront_width);
-  return WavefrontSampleSelectivities(*FrozenBackend(), targets, rngs, wc);
+  return WavefrontSelectivities(*FrozenBackend(), config_, *table_, queries);
 }
 
 std::vector<double> Uae::EstimateCards(
@@ -426,14 +441,14 @@ std::vector<double> Uae::EstimateCards(
 
 PsEstimate Uae::EstimateWithError(const workload::Query& query) const {
   QueryTargets targets = BuildTargets(query, *table_, schema_);
-  util::Rng rng = EstimationRng(query.Fingerprint());
+  util::Rng rng = EstimationRng(config_.seed, query.Fingerprint());
   return ProgressiveSampleWithError(*model_, targets, config_.ps_samples, &rng);
 }
 
 double Uae::EstimateJoinCard(const workload::JoinQuery& query) const {
   UAE_CHECK(universe_ != nullptr);
   QueryTargets targets = BuildJoinTargets(query, *universe_, schema_);
-  util::Rng rng = EstimationRng(workload::JoinFingerprint(query));
+  util::Rng rng = EstimationRng(config_.seed, workload::JoinFingerprint(query));
   double sel = ProgressiveSample(*model_, targets, config_.ps_samples, &rng);
   return sel * static_cast<double>(universe_->full_join_rows);
 }
@@ -441,9 +456,9 @@ double Uae::EstimateJoinCard(const workload::JoinQuery& query) const {
 std::vector<double> Uae::EstimateJoinCards(
     std::span<const workload::JoinQuery> queries) const {
   UAE_CHECK(universe_ != nullptr);
-  std::vector<double> cards(queries.size(), 0.0);
-  ForEachQuery(queries.size(),
-               [&](size_t i) { cards[i] = EstimateJoinCard(queries[i]); });
+  std::vector<double> cards =
+      WavefrontSelectivities(*FrozenBackend(), config_, *universe_, queries);
+  for (double& c : cards) c *= static_cast<double>(universe_->full_join_rows);
   return cards;
 }
 

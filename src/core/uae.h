@@ -32,6 +32,7 @@
 namespace uae::core {
 
 class FrozenMadeBackend;
+class InferenceBackend;
 
 struct UaeConfig {
   // Model architecture.
@@ -75,6 +76,28 @@ struct TrainStats {
   double seconds = 0.0;
 };
 using TrainCallback = std::function<void(const TrainStats&)>;
+
+/// The estimation RNG of one query: an independent stream mixed from the
+/// model seed and the query fingerprint (Query::Fingerprint, or
+/// workload::JoinFingerprint for joins), so an estimate is a pure function of
+/// the model and the query.
+util::Rng EstimationRng(uint64_t seed, uint64_t fingerprint);
+
+/// The batched estimate paths of Uae and QuantizedUae: compiles each query's
+/// targets against backend.schema(), seeds its EstimationRng stream, and runs
+/// WavefrontSampleSelectivities with config.ps_samples lanes per query,
+/// config.wavefront_width queries per wave. Element i is the selectivity of
+/// queries[i]; over a FrozenMadeBackend it is bit-identical to the per-query
+/// sampler's.
+std::vector<double> WavefrontSelectivities(const InferenceBackend& backend,
+                                           const UaeConfig& config,
+                                           const data::Table& table,
+                                           std::span<const workload::Query> queries);
+/// Join form: targets from BuildJoinTargets over `universe`, streams from
+/// workload::JoinFingerprint. Selectivities are fractions of the full join.
+std::vector<double> WavefrontSelectivities(
+    const InferenceBackend& backend, const UaeConfig& config,
+    const data::JoinUniverse& universe, std::span<const workload::JoinQuery> queries);
 
 class Uae : public ServableModel {
  public:
@@ -123,8 +146,10 @@ class Uae : public ServableModel {
       std::span<const workload::Query> queries) const override;
   std::vector<double> EstimateSelectivities(
       std::span<const workload::Query> queries) const;
-  /// Batched join estimation; element i is bit-identical to
-  /// EstimateJoinCard(queries[i]) (same per-query RNG purity contract).
+  /// Batched join estimation on the wavefront sampler; element i is
+  /// bit-identical to EstimateJoinCard(queries[i]), which runs the per-query
+  /// sampler and stays as the cross-check (same per-query RNG purity
+  /// contract).
   std::vector<double> EstimateJoinCards(
       std::span<const workload::JoinQuery> queries) const override;
   /// Estimate plus the progressive-sampling Monte-Carlo standard error.
@@ -186,8 +211,6 @@ class Uae : public ServableModel {
   nn::Adam& Optimizer();
   /// Detaches vcodes_ from any snapshot sharing it before mutation.
   std::vector<std::vector<int32_t>>& MutableVcodes();
-  /// Independent estimation RNG for one query (seed x fingerprint mix).
-  util::Rng EstimationRng(uint64_t fingerprint) const;
   /// Drops the cached frozen backend; every parameter mutation calls this.
   void InvalidateFrozen();
   /// One optimizer step for the given loss graph.

@@ -1,11 +1,10 @@
 #include "core/wavefront.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
 
-#include "util/mathutil.h"
 #include "util/threadpool.h"
 
 namespace uae::core {
@@ -21,27 +20,6 @@ nn::Mat PreMask(const nn::MaskedLinear& layer) {
 }
 
 size_t MatBytes(const nn::Mat& m) { return m.size() * sizeof(float); }
-
-/// Bitwise content hash of one lane input row (8-byte chunks through
-/// SplitMix64). Equal sampled prefixes produce bitwise-equal rows, so hashing
-/// raw bytes is exact up to collisions, which the caller resolves by memcmp.
-uint64_t HashRow(const float* p, int n) {
-  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(p);
-  const size_t len = sizeof(float) * static_cast<size_t>(n);
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  uint64_t chunk = 0;
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::memcpy(&chunk, bytes + i, 8);
-    h = util::SplitMix64(h ^ chunk);
-  }
-  if (i < len) {
-    chunk = 0;
-    std::memcpy(&chunk, bytes + i, len - i);
-    h = util::SplitMix64(h ^ chunk);
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -139,7 +117,46 @@ struct LaneBlock {
   std::vector<int> alive;              ///< Live lane ids, ascending.
   std::vector<double> p;               ///< Per-lane density products.
   std::vector<DigitRangeState> states;
+  std::vector<int> lineage;            ///< Per-lane lineage id of its input row.
   int row0 = 0;                        ///< First row of this query in X.
+};
+
+/// Open-addressing map from (forwarded row, picked code) to the lineage id of
+/// the child row that pick produces; emptied every column step.
+class ChildLineage {
+ public:
+  /// Empties the map and sizes it for up to `max_keys` distinct keys.
+  void Reset(size_t max_keys) {
+    size_t cap = 16;
+    while (cap < 2 * max_keys) cap <<= 1;
+    slots_.assign(cap, Slot{});
+    shift_ = 64 - std::countr_zero(cap);
+  }
+
+  /// Lineage id of the child of forwarded row `row` under `pick`; the first
+  /// sight of a key takes `*next_id` and advances it.
+  int Find(int row, int32_t pick, int* next_id) {
+    const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(row)) << 32) |
+                         static_cast<uint32_t>(pick);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = (key * 0x9e3779b97f4a7c15ull) >> shift_;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id < 0) {
+        slot.key = key;
+        slot.id = (*next_id)++;
+        return slot.id;
+      }
+      if (slot.key == key) return slot.id;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    int id = -1;
+  };
+  std::vector<Slot> slots_;
+  int shift_ = 60;
 };
 
 }  // namespace
@@ -177,9 +194,11 @@ std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend
     WavefrontWorkspace ws;
     nn::Mat x_rows;  // Lane input rows for the wave, [wave_queries * s, iw].
     // Prefix-dedup scratch, hoisted across waves of this chunk.
-    std::vector<const float*> unique_src;
-    std::vector<int> lane_uid;
-    std::unordered_map<uint64_t, std::vector<int>> dedup;
+    std::vector<const float*> unique_src;  // Forward row -> a lane row holding it.
+    std::vector<int> fwd_lineage;          // Forward row -> its lineage id.
+    std::vector<int> lane_row;             // Gathered lane -> its forward row.
+    std::vector<int> row_of;               // Lineage id -> forward row, or -1.
+    ChildLineage children;
     for (size_t w = w_lo; w < w_hi; ++w) {
       const size_t q0 = w * width;
       const size_t q1 = std::min(n, q0 + width);
@@ -200,8 +219,11 @@ std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend
         b.p.assign(static_cast<size_t>(s), 1.0);
         b.states.assign(static_cast<size_t>(s),
                         DigitRangeState(vs.num_original()));
+        b.lineage.assign(static_cast<size_t>(s), 0);  // The prototype's id.
         b.row0 = static_cast<int>(q - q0) * s;
       }
+      int next_lineage = 1;
+      row_of.assign(1, -1);
 
       for (int vc = 0; vc < n_vc; ++vc) {
         const data::VirtualColumn& v = vs.vcol(vc);
@@ -216,46 +238,40 @@ std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend
         }
         if (m == 0) continue;
 
-        // Gather live lanes (query order, lanes ascending), deduplicating
-        // bitwise-identical input rows across the whole wavefront: MADE's
+        // Gather live lanes (query order, lanes ascending), one forward row
+        // per distinct lineage id across the whole wavefront: lanes with the
+        // same id hold bitwise-equal input rows (see the header), MADE's
         // autoregressive masking makes the probs row a pure function of the
-        // input row, and the kernels are row-deterministic (output rows do
-        // not depend on batch composition), so lanes sharing a sampled
-        // prefix — all of them at a query's first constrained column —
+        // input row, and the kernels are row-deterministic, so those lanes
         // share one forward row with bitwise-equal results. This is where
         // the wavefront's throughput comes from: the batched forward runs
         // over unique prefixes, not raw lanes.
-        const size_t row_bytes = sizeof(float) * static_cast<size_t>(iw);
         unique_src.clear();
-        lane_uid.clear();
-        dedup.clear();
+        fwd_lineage.clear();
+        lane_row.clear();
         for (const LaneBlock& b : wave) {
           if (!participates(b)) continue;
           for (int lane : b.alive) {
-            const float* src = x_rows.row(b.row0 + lane);
-            auto& bucket = dedup[HashRow(src, iw)];
-            int uid = -1;
-            for (int cand : bucket) {
-              if (std::memcmp(unique_src[static_cast<size_t>(cand)], src,
-                              row_bytes) == 0) {
-                uid = cand;
-                break;
-              }
+            const int id = b.lineage[static_cast<size_t>(lane)];
+            int& row = row_of[static_cast<size_t>(id)];
+            if (row < 0) {
+              row = static_cast<int>(unique_src.size());
+              unique_src.push_back(x_rows.row(b.row0 + lane));
+              fwd_lineage.push_back(id);
             }
-            if (uid < 0) {
-              uid = static_cast<int>(unique_src.size());
-              unique_src.push_back(src);
-              bucket.push_back(uid);
-            }
-            lane_uid.push_back(uid);
+            lane_row.push_back(row);
           }
         }
+        const size_t row_bytes = sizeof(float) * static_cast<size_t>(iw);
         EnsureShape(&ws.x, static_cast<int>(unique_src.size()), iw);
         for (size_t u = 0; u < unique_src.size(); ++u) {
           std::memcpy(ws.x.row(static_cast<int>(u)), unique_src[u], row_bytes);
         }
         backend.ForwardProbs(vc, ws.x, &ws);
 
+        // A surviving lane's new row is its forwarded row with this column's
+        // slice set to the pick, so (forwarded row, pick) keys its lineage.
+        children.Reset(static_cast<size_t>(m));
         size_t pos = 0;
         for (LaneBlock& b : wave) {
           if (!participates(b)) continue;
@@ -264,9 +280,10 @@ std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend
           size_t keep = 0;
           for (size_t ai = 0; ai < b.alive.size(); ++ai) {
             const int lane = b.alive[ai];
+            const int row = lane_row[pos++];
             LaneStep step =
                 SampleLane(vs, vc, target, b.states[static_cast<size_t>(lane)],
-                           ws.probs.row(lane_uid[pos++]), b.rng);
+                           ws.probs.row(row), b.rng);
             b.p[static_cast<size_t>(lane)] *= step.mass;
             if (step.mass <= 0.0) {
               // Zero-mass early exit: the lane leaves the wavefront.
@@ -278,12 +295,16 @@ std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend
               b.states[static_cast<size_t>(lane)].Advance(vs, vc, target.lo,
                                                           target.hi, step.pick);
             }
+            b.lineage[static_cast<size_t>(lane)] =
+                children.Find(row, step.pick, &next_lineage);
             std::memcpy(x_rows.row(b.row0 + lane) + backend.col_offset(vc),
                         backend.EncoderRow(vc, step.pick),
                         sizeof(float) * static_cast<size_t>(backend.col_width(vc)));
           }
           b.alive.resize(keep);
         }
+        for (int id : fwd_lineage) row_of[static_cast<size_t>(id)] = -1;
+        row_of.resize(static_cast<size_t>(next_lineage), -1);
       }
 
       for (LaneBlock& b : wave) {

@@ -11,6 +11,18 @@
 //     on input row i, never on batch composition or thread count);
 //   - RNG draws per query happen in the legacy order: constrained virtual
 //     columns ascending, live lanes ascending, dead lanes consuming nothing.
+//
+// Lanes that share a sampled prefix share one forward row (prefix dedup), and
+// sharing is tracked by lineage rather than by comparing rows. Every lane
+// carries the id of its current input row; all lanes start at the wildcard
+// prototype's id. At a column step, lanes with the same id forward one row.
+// After the draw, a surviving lane's new id is keyed on (forwarded row, picked
+// code): its new row is the forwarded row with that column's slice set to the
+// pick's encoder row, so equal keys mean bitwise-equal rows, and by induction
+// over the steps equal ids always do. Two lanes get different ids only if
+// their rows differ in some column slice, unless two codes of a column had
+// bitwise-equal encoder rows; then lineage forwards one row more than a row
+// comparison would, and no estimate changes.
 #pragma once
 
 #include <cstdint>

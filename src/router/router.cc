@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "util/common.h"
 
@@ -18,8 +19,12 @@ uint64_t NowMicros() {
 }
 
 /// Symmetric q-error with the usual 1-row floors (a zero-cardinality truth
-/// or estimate would otherwise make the ratio degenerate).
+/// or estimate would otherwise make the ratio degenerate). A NaN estimate or
+/// truth gives NaN, never a floored "perfect" 1.
 double QError(double estimate, double truth) {
+  if (std::isnan(estimate) || std::isnan(truth)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
   const double e = std::max(1.0, estimate);
   const double t = std::max(1.0, truth);
   return std::max(e / t, t / e);
@@ -297,6 +302,14 @@ size_t HybridRouter::ObserveFeedback(
     }
     ClassState& state = it->second;
 
+    // A non-finite or non-positive q-error would pin the log-EMA at NaN or
+    // +inf for good (every later promote/demote comparison then comes out
+    // the same), so it is skipped and counted instead.
+    const auto usable = [&](double q) {
+      if (std::isfinite(q) && q > 0.0) return true;
+      ++skipped_qerrors_;
+      return false;
+    };
     const auto ema_update = [&](Backend b, double q) {
       const size_t i = static_cast<size_t>(b);
       const double lq = std::log(q);
@@ -316,9 +329,11 @@ size_t HybridRouter::ObserveFeedback(
                                          ? Backend::kAlt
                                          : Backend::kPrimary);
     const double served_q = QError(entry.estimated_card, entry.true_card);
-    qerr_windows_[static_cast<size_t>(served_by)].Add(served_q,
-                                                      config_.qerr_window);
-    if (served_by == Backend::kPrimary) ema_update(Backend::kPrimary, served_q);
+    if (usable(served_q)) {
+      qerr_windows_[static_cast<size_t>(served_by)].Add(served_q,
+                                                        config_.qerr_window);
+      if (served_by == Backend::kPrimary) ema_update(Backend::kPrimary, served_q);
+    }
 
     // Shadow-evaluate the cheap backends on every labeled entry: the kNN
     // prediction BEFORE this point is added (so the class must earn its
@@ -329,27 +344,36 @@ size_t HybridRouter::ObserveFeedback(
       // The kNN EMA always tracks the shadow value, whether or not the class
       // currently serves from kNN (the shadow is what promotion/demotion
       // must judge).
-      ema_update(Backend::kKnn, QError(std::exp(*knn_log), entry.true_card));
+      const double knn_q = QError(std::exp(*knn_log), entry.true_card);
+      if (usable(knn_q)) ema_update(Backend::kKnn, knn_q);
     }
     const double floor_q =
         QError(floor_->EstimateCard(entry.query), entry.true_card);
-    ema_update(Backend::kFloor, floor_q);
-    qerr_windows_[static_cast<size_t>(Backend::kFloor)].Add(
-        floor_q, config_.qerr_window);
+    if (usable(floor_q)) {
+      ema_update(Backend::kFloor, floor_q);
+      qerr_windows_[static_cast<size_t>(Backend::kFloor)].Add(
+          floor_q, config_.qerr_window);
+    }
     if (alt_ != nullptr) {
       // Shadow-evaluate the alt model too — its EMA is what promotion must
       // judge. (When the class already serves from the alt, the served
       // q-error above is the same signal; skip the duplicate window sample.)
       const double alt_q =
           QError(alt_->EstimateCard(entry.query), entry.true_card);
-      ema_update(Backend::kAlt, alt_q);
-      if (served_by != Backend::kAlt) {
-        qerr_windows_[static_cast<size_t>(Backend::kAlt)].Add(
-            alt_q, config_.qerr_window);
+      if (usable(alt_q)) {
+        ema_update(Backend::kAlt, alt_q);
+        if (served_by != Backend::kAlt) {
+          qerr_windows_[static_cast<size_t>(Backend::kAlt)].Add(
+              alt_q, config_.qerr_window);
+        }
       }
     }
 
-    state.ring.Add(qc.features, std::log(std::max(1.0, entry.true_card)));
+    // A non-finite truth would become a NaN or +inf kNN point that every
+    // later prediction for the class averages in.
+    if (std::isfinite(entry.true_card)) {
+      state.ring.Add(qc.features, std::log(std::max(1.0, entry.true_card)));
+    }
     ++folded;
   }
   feedback_observed_ += folded;
@@ -487,6 +511,7 @@ RouterStatsSnapshot HybridRouter::RouterStats() const {
       snap.backends[i].qerror = util::Summarize(qerr_windows_[i].samples);
     }
     snap.feedback_observed = feedback_observed_;
+    snap.skipped_qerrors = skipped_qerrors_;
   }
   const auto table = Table();
   snap.routing_generation = table->generation;

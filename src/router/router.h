@@ -134,6 +134,9 @@ struct RouterStatsSnapshot {
   uint64_t degrade_transitions = 0;     ///< Enter/leave state changes.
   uint64_t routing_generation = 0;      ///< Published routing-table version.
   uint64_t feedback_observed = 0;       ///< Feedback entries folded in.
+  /// Non-finite or non-positive q-errors (a NaN or infinite estimate or
+  /// truth) left out of the EMAs and windows.
+  uint64_t skipped_qerrors = 0;
   size_t classes = 0;                   ///< Classes in the published table.
   size_t knn_classes = 0;               ///< ...of which route to kNN.
   size_t alt_classes = 0;               ///< ...of which route to the alt model.
@@ -267,6 +270,7 @@ class HybridRouter : public core::ServableModel {
   std::unordered_map<uint64_t, ClassState> classes_;
   uint64_t next_generation_ = 2;  ///< Generation 1 is the empty initial table.
   uint64_t feedback_observed_ = 0;
+  uint64_t skipped_qerrors_ = 0;
 
   // Degradation state machine (request-path side; atomics only).
   mutable std::atomic<bool> degraded_{false};

@@ -8,6 +8,19 @@
 
 namespace uae::util {
 
+namespace {
+
+/// Ascending, with NaN after every number. A plain std::sort over a sample
+/// holding NaN breaks strict weak ordering, and the quantiles then depend on
+/// where the NaN sits.
+void SortNanLast(std::vector<double>* xs) {
+  std::sort(xs->begin(), xs->end(), [](double a, double b) {
+    return a < b || (!std::isnan(a) && std::isnan(b));
+  });
+}
+
+}  // namespace
+
 double QuantileSorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   UAE_CHECK(q >= 0.0 && q <= 1.0);
@@ -20,7 +33,7 @@ double QuantileSorted(const std::vector<double>& sorted, double q) {
 
 double Quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
+  SortNanLast(&xs);
   return QuantileSorted(xs, q);
 }
 
@@ -29,20 +42,16 @@ ErrorSummary Summarize(const std::vector<double>& errors) {
   s.count = errors.size();
   if (errors.empty()) return s;
   double total = 0.0;
-  double mx = errors[0];
-  for (double e : errors) {
-    total += e;
-    mx = std::max(mx, e);
-  }
+  for (double e : errors) total += e;
   s.mean = total / static_cast<double>(errors.size());
   // One copy + one sort for all three quantiles (this used to call
   // Quantile() three times, copying and sorting the sample each time).
   std::vector<double> sorted = errors;
-  std::sort(sorted.begin(), sorted.end());
+  SortNanLast(&sorted);
   s.median = QuantileSorted(sorted, 0.5);
   s.p95 = QuantileSorted(sorted, 0.95);
   s.p99 = QuantileSorted(sorted, 0.99);
-  s.max = mx;
+  s.max = sorted.back();
   return s;
 }
 

@@ -7,7 +7,9 @@
 
 namespace uae::util {
 
-/// Linear-interpolation quantile of an unsorted sample; q in [0,1].
+/// Linear-interpolation quantile of an unsorted sample; q in [0,1]. NaN
+/// orders after every number (a NaN q-error counts as the worst), so the
+/// result never depends on where a NaN sits in the sample.
 double Quantile(std::vector<double> xs, double q);
 
 /// Same interpolation over an ALREADY-SORTED sample — no copy, no sort.

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -279,6 +280,57 @@ TEST(RouterTest, FeedbackPromotesHotClassToKnnWithinTolerance) {
   EXPECT_EQ(stats.feedback_observed, 4 * batch.size());
   // An unseen class still routes to the primary.
   EXPECT_EQ(router->RouteFor(f.labeled[0].query), Backend::kPrimary);
+}
+
+TEST(RouterTest, NonFiniteFeedbackIsSkippedAndClassStillPromotesAndDemotes) {
+  // Regression: ema_update folded log(q) in unchecked. An infinite estimate
+  // and truth give a NaN q-error, an infinite truth an infinite one, and
+  // either froze the class's log-EMA for good: every later promote/demote
+  // comparison came out the same and the class never moved. A NaN estimate
+  // or truth used to be floored to a perfect q-error of 1 instead.
+  Fixture& f = Shared();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<online::FeedbackEntry> batch;
+  const int32_t step = std::max<int32_t>(1, f.domains[0] / 16);
+  for (int32_t hi = 0; hi + 1 < f.domains[0]; hi += step) {
+    batch.push_back(f.Feedback(f.TemplateQuery(hi)));
+  }
+  ASSERT_GE(batch.size(), 4u);
+  const struct {
+    const char* what;
+    double estimated;
+    double truth;
+  } cases[] = {{"inf/inf", inf, inf},
+               {"inf truth", 10.0, inf},
+               {"nan estimate", nan, 10.0},
+               {"nan truth", 10.0, nan}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    auto router = f.MakeRouter();
+    online::FeedbackEntry bad = f.Feedback(f.TemplateQuery(step));
+    bad.estimated_card = c.estimated;
+    bad.true_card = c.truth;
+    const std::vector<online::FeedbackEntry> one_bad{bad};
+
+    // Seed the kNN ring so the bad entry reaches every backend's EMA.
+    EXPECT_EQ(router->ObserveFeedback(batch), batch.size());
+    EXPECT_EQ(router->ObserveFeedback(one_bad), 1u);
+    EXPECT_GE(router->RouterStats().skipped_qerrors, 1u);
+    for (int round = 0; round < 3; ++round) (void)router->ObserveFeedback(batch);
+    EXPECT_EQ(router->RouteFor(f.TemplateQuery(step)), Backend::kKnn);
+
+    // The data shifts by 1000x: the kNN q-error climbs past the demotion
+    // bar and the class returns to the primary.
+    (void)router->ObserveFeedback(one_bad);
+    std::vector<online::FeedbackEntry> shifted = batch;
+    for (auto& e : shifted) e.true_card = 1000.0 * std::max(1.0, e.true_card);
+    for (int round = 0; round < 8; ++round) (void)router->ObserveFeedback(shifted);
+    EXPECT_EQ(router->RouteFor(f.TemplateQuery(step)), Backend::kPrimary);
+    for (const BackendStats& b : router->RouterStats().backends) {
+      EXPECT_TRUE(std::isfinite(b.qerror.mean));
+    }
+  }
 }
 
 TEST(RouterTest, JoinAndMismatchedFeedbackIsSkipped) {

@@ -11,10 +11,16 @@
 //  * zero-mass early exit: provably-empty predicates estimate exactly zero
 //    without perturbing neighbouring lanes or queries;
 //  * seeded property sweeps: 300 generator queries per dataset, wavefront vs
-//    per-query, exact equality.
+//    per-query, exact equality;
+//  * join sub-plans on a factorized IMDB-star universe (fanout-weight and
+//    digit-range targets): batched EstimateJoinCards vs the single-query
+//    EstimateJoinCard, across widths and batch compositions;
+//  * lineage prefix dedup: lanes sharing a prefix share one forward row, and
+//    a fixed batch forwards exactly as many rows as byte-hash dedup did.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -23,9 +29,11 @@
 #include "core/quant.h"
 #include "core/uae.h"
 #include "core/wavefront.h"
+#include "data/imdb_star.h"
 #include "data/synthetic.h"
 #include "util/mathutil.h"
 #include "workload/generator.h"
+#include "workload/join_workload.h"
 
 namespace uae::core {
 namespace {
@@ -62,6 +70,10 @@ Dataset& Correlated() {
   return *d;
 }
 
+/// Rows the byte-hash prefix dedup forwarded for the first 64 DMV queries at
+/// width 8 (see DmvBatchForwardRowCountIsPinned).
+constexpr int64_t kPinnedDmvForwardRows = 1293;
+
 Dataset& Dmv() {
   static Dataset* d = []() {
     UaeConfig cfg = SmallConfig(29);
@@ -87,8 +99,9 @@ std::vector<double> ReferenceSelectivities(const Dataset& d,
   return out;
 }
 
-/// Direct wavefront run at an explicit width over the frozen backend.
-std::vector<double> WavefrontAtWidth(const Dataset& d,
+/// Direct wavefront run at an explicit width over `backend` (the frozen
+/// backend, or a forwarding one over it).
+std::vector<double> WavefrontAtWidth(const InferenceBackend& backend, const Dataset& d,
                                      std::span<const workload::Query> qs,
                                      int width) {
   std::vector<QueryTargets> targets;
@@ -101,7 +114,7 @@ std::vector<double> WavefrontAtWidth(const Dataset& d,
   WavefrontConfig wc;
   wc.num_samples = d.uae.config().ps_samples;
   wc.wave_width = width;
-  return WavefrontSampleSelectivities(*d.uae.FrozenBackend(), targets, rngs, wc);
+  return WavefrontSampleSelectivities(backend, targets, rngs, wc);
 }
 
 TEST(SamplerConformanceTest, BitwiseParityAcrossWavefrontWidths) {
@@ -109,7 +122,7 @@ TEST(SamplerConformanceTest, BitwiseParityAcrossWavefrontWidths) {
   std::span<const workload::Query> qs(d.queries.data(), 40);
   std::vector<double> reference = ReferenceSelectivities(d, qs);
   for (int width : {1, 8, 64}) {
-    std::vector<double> wave = WavefrontAtWidth(d, qs, width);
+    std::vector<double> wave = WavefrontAtWidth(*d.uae.FrozenBackend(), d, qs, width);
     ASSERT_EQ(wave.size(), reference.size());
     for (size_t i = 0; i < wave.size(); ++i) {
       // Exact: not EXPECT_DOUBLE_EQ's 4-ULP tolerance.
@@ -229,7 +242,7 @@ TEST(SamplerConformanceTest, PropertySweepDmv) {
   // The DMV generator factorizes nothing at the default threshold, so also
   // sweep a width other than the config default through the backend directly.
   std::span<const workload::Query> head(d.queries.data(), 64);
-  std::vector<double> w64 = WavefrontAtWidth(d, head, 64);
+  std::vector<double> w64 = WavefrontAtWidth(*d.uae.FrozenBackend(), d, head, 64);
   for (size_t i = 0; i < w64.size(); ++i) EXPECT_EQ(w64[i], reference[i]);
 }
 
@@ -249,6 +262,198 @@ TEST(SamplerConformanceTest, QuantizedEstimatesArePureButNotFp32) {
     if (batched[i] != fp32[i]) ++differing;
   }
   EXPECT_GT(differing, 0) << "int8 estimates should not be bit-equal to fp32";
+}
+
+/// Forwards to the model's frozen backend and counts the rows forwarded per
+/// head (waves may run on pool workers, hence atomics).
+class CountingBackend final : public InferenceBackend {
+ public:
+  explicit CountingBackend(const Uae& uae)
+      : InferenceBackend(uae.model(), &uae.schema()),
+        inner_(uae.FrozenBackend()),
+        rows_(static_cast<size_t>(uae.schema().num_virtual())) {}
+
+  void ForwardProbs(int vc, const nn::Mat& x,
+                    WavefrontWorkspace* ws) const override {
+    rows_[static_cast<size_t>(vc)].fetch_add(x.rows(), std::memory_order_relaxed);
+    inner_->ForwardProbs(vc, x, ws);
+  }
+  size_t SizeBytes() const override { return inner_->SizeBytes(); }
+
+  int64_t rows(int vc) const {
+    return rows_[static_cast<size_t>(vc)].load(std::memory_order_relaxed);
+  }
+  int64_t total_rows() const {
+    int64_t total = 0;
+    for (const auto& r : rows_) total += r.load(std::memory_order_relaxed);
+    return total;
+  }
+
+ private:
+  std::shared_ptr<const FrozenMadeBackend> inner_;
+  mutable std::vector<std::atomic<int64_t>> rows_;
+};
+
+TEST(SamplerConformanceTest, SharedFirstColumnForwardsOneRowPerWave) {
+  // Every lane of every query starts at the wildcard prototype, so W queries
+  // whose first constrained column is the same forward exactly one row at
+  // that column, whatever their ranges and their later columns.
+  Dataset& d = Correlated();
+  const data::VirtualSchema& vs = d.uae.schema();
+  int first_vc = -1;
+  for (int vc = 0; vc < vs.num_virtual() && first_vc < 0; ++vc) {
+    if (vs.vcol(vc).orig_col == 0) first_vc = vc;
+  }
+  ASSERT_GE(first_vc, 0);
+  constexpr int kWidth = 8;
+  const int32_t dom0 = d.table.column(0).domain();
+  const int32_t dom1 = d.table.column(1).domain();
+  std::vector<workload::Query> qs;
+  for (int i = 0; i < kWidth; ++i) {
+    workload::Query q(d.table.num_cols());
+    auto& c0 = q.mutable_constraint(0);
+    c0.kind = workload::Constraint::Kind::kRange;
+    c0.lo = i % dom0;
+    c0.hi = std::min(dom0 - 1, c0.lo + 1 + i);
+    if (i % 2 == 1) {
+      auto& c1 = q.mutable_constraint(1);
+      c1.kind = workload::Constraint::Kind::kRange;
+      c1.lo = 0;
+      c1.hi = std::max(0, dom1 / 2 - i);
+    }
+    qs.push_back(q);
+  }
+  CountingBackend counting(d.uae);
+  std::vector<double> wave = WavefrontAtWidth(counting, d, qs, kWidth);
+  EXPECT_EQ(counting.rows(first_vc), 1);
+  std::vector<double> reference = ReferenceSelectivities(d, qs);
+  for (size_t i = 0; i < qs.size(); ++i) EXPECT_EQ(wave[i], reference[i]) << i;
+}
+
+TEST(SamplerConformanceTest, DmvBatchForwardRowCountIsPinned) {
+  // Lineage dedup must share exactly the prefixes byte-hash dedup shared:
+  // the count below is what the byte-hash implementation forwarded for this
+  // batch. A larger count means lost sharing (a speed regression); a smaller
+  // one means lanes with different rows were merged (a correctness bug).
+  Dataset& d = Dmv();
+  std::span<const workload::Query> qs(d.queries.data(), 64);
+  CountingBackend counting(d.uae);
+  std::vector<double> wave = WavefrontAtWidth(counting, d, qs, 8);
+  EXPECT_EQ(counting.total_rows(), kPinnedDmvForwardRows);
+  std::vector<double> reference = ReferenceSelectivities(d, qs);
+  for (size_t i = 0; i < qs.size(); ++i) EXPECT_EQ(wave[i], reference[i]) << i;
+}
+
+/// Join estimators over the JOB-M-like IMDB star with a low factorization
+/// threshold, so year, company, keyword and person ids are digit-factorized
+/// and sub-plans carry both digit-range and fanout-weight targets. One model
+/// per wavefront width, sharing parameters.
+struct JoinDataset {
+  data::JoinUniverse uni;
+  std::vector<std::unique_ptr<Uae>> by_width;  ///< Widths 1, 8, 64.
+  std::vector<workload::JoinQuery> subplans;
+
+  JoinDataset() {
+    data::ImdbStarConfig c;
+    c.num_titles = 400;
+    c.seed = 5;
+    c.dims = data::JobMDims();
+    uni = data::BuildImdbStar(c);
+    UaeConfig cfg = SmallConfig(23);
+    cfg.ps_samples = 40;
+    cfg.factor_threshold = 64;
+    cfg.factor_bits = 4;
+    for (int width : {1, 8, 64}) {
+      cfg.wavefront_width = width;
+      by_width.push_back(std::make_unique<Uae>(uni, cfg));
+    }
+    by_width[0]->TrainDataEpochs(1);
+    for (size_t i = 1; i < by_width.size(); ++i) {
+      UAE_CHECK(by_width[i]->CopyParamsFrom(*by_width[0]).ok());
+    }
+    // Focused queries join all six tables under a year range; unfocused ones
+    // join random subsets with content filters only.
+    workload::JoinGeneratorConfig focused;
+    workload::JoinGeneratorConfig unfocused;
+    unfocused.focused = false;
+    workload::JoinQueryGenerator gen_focused(uni, focused, 61);
+    workload::JoinQueryGenerator gen_unfocused(uni, unfocused, 67);
+    for (int i = 0; i < 8; ++i) {
+      const workload::JoinQuery q =
+          i < 3 ? gen_focused.Generate() : gen_unfocused.Generate();
+      for (uint32_t s = 1; s <= q.table_mask; ++s) {
+        if ((s & q.table_mask) == s && (s & 1u) != 0) {
+          subplans.push_back(workload::RestrictToSubset(uni, q, s));
+        }
+      }
+    }
+  }
+};
+
+JoinDataset& Joins() {
+  static JoinDataset* d = new JoinDataset();
+  return *d;
+}
+
+TEST(SamplerConformanceTest, JoinBatchMatchesSingleQueryAcrossWidths) {
+  JoinDataset& d = Joins();
+  // The sub-plans must exercise both join-only target kinds.
+  bool factorized_range = false;
+  bool weights = false;
+  for (const workload::JoinQuery& q : d.subplans) {
+    QueryTargets t = BuildJoinTargets(q, d.uni, d.by_width[0]->schema());
+    for (size_t c = 0; c < t.cols.size(); ++c) {
+      const ColumnTarget& ct = t.cols[c];
+      if (ct.kind == ColumnTarget::Kind::kWeights) weights = true;
+      if (ct.kind == ColumnTarget::Kind::kRange &&
+          d.by_width[0]->schema().VirtualsOf(static_cast<int>(c)).size() > 1) {
+        factorized_range = true;
+      }
+    }
+  }
+  ASSERT_TRUE(weights) << "no sub-plan downscales by a fanout column";
+  ASSERT_TRUE(factorized_range) << "no sub-plan ranges over a factorized column";
+
+  // The single-query path runs the legacy autograd sampler: the permanent
+  // cross-check for the batched wavefront.
+  std::vector<double> reference;
+  for (const workload::JoinQuery& q : d.subplans) {
+    reference.push_back(d.by_width[0]->EstimateJoinCard(q));
+  }
+  for (const auto& uae : d.by_width) {
+    EXPECT_EQ(uae->EstimateJoinCard(d.subplans[0]), reference[0]);
+    std::vector<double> batched = uae->EstimateJoinCards(d.subplans);
+    ASSERT_EQ(batched.size(), reference.size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_EQ(batched[i], reference[i])
+          << "width " << uae->config().wavefront_width << " sub-plan " << i;
+    }
+  }
+}
+
+TEST(SamplerConformanceTest, JoinBatchCompositionInvariance) {
+  JoinDataset& d = Joins();
+  const Uae& uae = *d.by_width[1];
+  std::vector<double> batched = uae.EstimateJoinCards(d.subplans);
+
+  std::vector<size_t> perm(d.subplans.size());
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::mt19937_64 shuffle_rng(7);
+  std::shuffle(perm.begin(), perm.end(), shuffle_rng);
+  std::vector<workload::JoinQuery> shuffled;
+  for (size_t i : perm) shuffled.push_back(d.subplans[i]);
+  std::vector<double> shuffled_out = uae.EstimateJoinCards(shuffled);
+  for (size_t j = 0; j < perm.size(); ++j) {
+    EXPECT_EQ(shuffled_out[j], batched[perm[j]]) << "slot " << j;
+  }
+
+  std::vector<workload::JoinQuery> subset;
+  for (size_t i = 0; i < d.subplans.size(); i += 3) subset.push_back(d.subplans[i]);
+  std::vector<double> subset_out = uae.EstimateJoinCards(subset);
+  for (size_t j = 0; j < subset.size(); ++j) {
+    EXPECT_EQ(subset_out[j], batched[3 * j]) << "subset slot " << j;
+  }
+  EXPECT_TRUE(uae.EstimateJoinCards({}).empty());
 }
 
 }  // namespace

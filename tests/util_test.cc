@@ -182,6 +182,26 @@ TEST(QuantilesTest, QuantileSortedMatchesQuantile) {
   EXPECT_EQ(QuantileSorted({}, 0.5), 0.0);
 }
 
+TEST(QuantilesTest, NanSortsLastWhereverItSits) {
+  // Regression: std::sort over a sample holding NaN breaks strict weak
+  // ordering, so the same seven q-errors gave a median of 3.0 or NaN
+  // depending only on where the NaN sat. NaN now orders after every number,
+  // so every placement gives the same quantiles.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> base = {1.5, 3.0, 7.0, 2.0, 9.0, 4.0};
+  for (size_t pos = 0; pos <= base.size(); ++pos) {
+    std::vector<double> xs = base;
+    xs.insert(xs.begin() + static_cast<std::ptrdiff_t>(pos), nan);
+    EXPECT_EQ(Quantile(xs, 0.5), 4.0) << "NaN at " << pos;
+    EXPECT_EQ(Quantile(xs, 0.0), 1.5) << "NaN at " << pos;
+    EXPECT_TRUE(std::isnan(Quantile(xs, 1.0))) << "NaN at " << pos;
+    const ErrorSummary s = Summarize(xs);
+    EXPECT_EQ(s.median, 4.0) << "NaN at " << pos;
+    EXPECT_TRUE(std::isnan(s.max)) << "NaN at " << pos;
+    EXPECT_TRUE(std::isnan(s.mean)) << "NaN at " << pos;
+  }
+}
+
 TEST(QuantilesTest, FormatErrorDistinguishesNanFromInf) {
   // Regression: NaN used to format as "inf".
   EXPECT_EQ(FormatError(std::numeric_limits<double>::quiet_NaN()), "nan");
