@@ -21,7 +21,6 @@
 // Usage:
 //   bench_wavefront [--out=BENCH_wavefront.json] [--rows=4000] [--queries=64]
 //                   [--ps-samples=512] [--wave-width=8] [--reps=3]
-//                   [--join-titles=2000] [--join-queries=4]
 //
 // The default sample count (512) is the serving-realistic regime (the paper
 // runs progressive sampling with 2000 samples on DMV); prefix deduplication
@@ -57,8 +56,6 @@ struct Options {
   int ps_samples = 512;
   int wave_width = 8;
   int reps = 3;  ///< Timed repetitions; the median qps is kept.
-  int join_titles = 2000;  ///< Fact-table rows of the join universe.
-  int join_queries = 4;    ///< Join queries; all their sub-plans are estimated.
 };
 
 struct Result {
@@ -90,10 +87,6 @@ int Run(int argc, char** argv) {
   opt.ps_samples = std::max<int>(8, static_cast<int>(flags.GetInt("ps-samples", opt.ps_samples)));
   opt.wave_width = std::max<int>(1, static_cast<int>(flags.GetInt("wave-width", opt.wave_width)));
   opt.reps = std::max<int>(1, static_cast<int>(flags.GetInt("reps", opt.reps)));
-  opt.join_titles =
-      std::max<int>(200, static_cast<int>(flags.GetInt("join-titles", opt.join_titles)));
-  opt.join_queries =
-      std::max<int>(1, static_cast<int>(flags.GetInt("join-queries", opt.join_queries)));
 
   // Model under measurement: serving cost is what matters, so train briefly.
   data::Table table = data::SyntheticDmv(static_cast<size_t>(opt.rows), 11);
@@ -189,15 +182,17 @@ int Run(int argc, char** argv) {
   // keeps the fact table, of focused JOB-M-like queries. Per-query
   // EstimateJoinCard (the cross-check sampler) vs batched EstimateJoinCards
   // (the served path). Informational: no speedup_vs_ref, so no gate.
+  constexpr size_t kJoinTitles = 2000;  // Fact-table rows of the universe.
+  constexpr int kJoinQueries = 4;       // All their sub-plans are estimated.
   data::ImdbStarConfig star;
-  star.num_titles = static_cast<size_t>(opt.join_titles);
+  star.num_titles = kJoinTitles;
   star.dims = data::JobMDims();
   const data::JoinUniverse uni = data::BuildImdbStar(star);
   core::Uae join_uae(uni, config);
   join_uae.TrainDataEpochs(1);
   workload::JoinQueryGenerator join_gen(uni, workload::JoinGeneratorConfig{}, 41);
   std::vector<workload::JoinQuery> subplans;
-  for (int i = 0; i < opt.join_queries; ++i) {
+  for (int i = 0; i < kJoinQueries; ++i) {
     const workload::JoinQuery q = join_gen.Generate();
     for (uint32_t sub = 1; sub <= q.table_mask; ++sub) {
       if ((sub & q.table_mask) == sub && (sub & 1u) != 0) {
@@ -242,8 +237,6 @@ int Run(int argc, char** argv) {
   w.Member("ps_samples", opt.ps_samples);
   w.Member("wave_width", opt.wave_width);
   w.Member("reps", opt.reps);
-  w.Member("join_titles", opt.join_titles);
-  w.Member("join_queries", opt.join_queries);
 #ifdef NDEBUG
   w.Member("optimized_build", true);
 #else

@@ -302,11 +302,11 @@ size_t HybridRouter::ObserveFeedback(
     }
     ClassState& state = it->second;
 
-    // A non-finite or non-positive q-error would pin the log-EMA at NaN or
-    // +inf for good (every later promote/demote comparison then comes out
-    // the same), so it is skipped and counted instead.
+    // A non-finite q-error would pin the log-EMA at NaN or +inf for good
+    // (every later promote/demote comparison then comes out the same), so it
+    // is skipped and counted instead.
     const auto usable = [&](double q) {
-      if (std::isfinite(q) && q > 0.0) return true;
+      if (std::isfinite(q)) return true;
       ++skipped_qerrors_;
       return false;
     };

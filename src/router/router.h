@@ -134,8 +134,8 @@ struct RouterStatsSnapshot {
   uint64_t degrade_transitions = 0;     ///< Enter/leave state changes.
   uint64_t routing_generation = 0;      ///< Published routing-table version.
   uint64_t feedback_observed = 0;       ///< Feedback entries folded in.
-  /// Non-finite or non-positive q-errors (a NaN or infinite estimate or
-  /// truth) left out of the EMAs and windows.
+  /// Non-finite q-errors (a NaN or infinite estimate or truth) left out of
+  /// the EMAs and windows.
   uint64_t skipped_qerrors = 0;
   size_t classes = 0;                   ///< Classes in the published table.
   size_t knn_classes = 0;               ///< ...of which route to kNN.
