@@ -4,10 +4,10 @@
 // hot-swap is any mutable clone that can fine-tune on labeled feedback.
 //
 // Implementations: the monolithic core::Uae (one autoregressive model over
-// one table, the paper's setting), shard::ShardedUae (one model per
-// horizontal partition with pruned fan-out), estimators::SpnServable (the
-// query-driven SPN backend), shard::ShardedServable (per-shard instances of
-// any factory-built servable), router::HybridRouter (a servable fronting a
+// one table, the paper's setting), estimators::SpnServable (the
+// query-driven SPN backend), shard::ShardedServable (one factory-built
+// servable per horizontal partition with pruned fan-out; shard::ShardedUae
+// is it with a UAE factory), router::HybridRouter (a servable fronting a
 // zoo of backends), and estimators::ServableEstimatorAdapter (read-only lift
 // of a zoo estimator). The serving and adaptation layers are written against
 // this interface so any deployment hot-swaps and self-repairs the same way.

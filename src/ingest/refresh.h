@@ -16,7 +16,11 @@
 //   3. Clone the current base model (shard::ShardedUae::Clone — bit-identical
 //      parameters), then IngestShardRows per stale shard: §4.5 incremental
 //      data training on the new rows only. Untouched shards keep bitwise-
-//      identical parameters through clone + publish.
+//      identical parameters through clone + publish, and the clone's
+//      num_rows() (the sum over its shard models) grows by the ingested rows.
+//      The controller stays typed on ShardedUae rather than the generic
+//      shard::ShardedServable: only the UAE backend implements per-shard
+//      data ingest.
 //   4. Wrap with ingest::DeltaAwareModel when the tail is non-empty (unseen
 //      values answer exactly), guard if configured, PublishSnapshot, and
 //      advance the refreshed shards' buffer watermarks.

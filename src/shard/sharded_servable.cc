@@ -1,7 +1,7 @@
 #include "shard/sharded_servable.h"
 
 #include <algorithm>
-#include <atomic>
+#include <numeric>
 
 #include "util/common.h"
 #include "util/threadpool.h"
@@ -11,30 +11,28 @@ namespace uae::shard {
 ShardedServable::ShardedServable(const data::Table& table,
                                  const ShardedServableConfig& config,
                                  const ServableFactory& factory)
-    : config_(config), num_rows_(table.num_rows()) {
+    : base_seed_(config.base_seed) {
   UAE_CHECK(factory != nullptr);
-  auto partitioner =
-      std::make_shared<HorizontalPartitioner>(table, config_.partition);
-  config_.partition = partitioner->config();  // Resolved col, clamped N.
-  auto tables = std::make_shared<std::vector<data::Table>>(
+  auto partitioner = std::make_shared<HorizontalPartitioner>(table, config.partition);
+  shard_tables_ = std::make_shared<std::vector<data::Table>>(
       partitioner->Materialize(table, table.name()));
   partitioner_ = std::move(partitioner);
-  shard_tables_ = std::move(tables);
 
   const int n = partitioner_->num_shards();
   models_.reserve(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     models_.push_back(factory((*shard_tables_)[static_cast<size_t>(s)], s,
-                              MixShardSeed(config_.base_seed, s)));
+                              MixShardSeed(base_seed_, s)));
     UAE_CHECK(models_.back() != nullptr);
   }
 }
 
 ShardedServable::ShardedServable(const ShardedServable& other)
-    : config_(other.config_),
+    : core::ServableModel(other),
       partitioner_(other.partitioner_),
       shard_tables_(other.shard_tables_),
-      num_rows_(other.num_rows_) {
+      base_seed_(other.base_seed_),
+      prune_(other.prune_) {
   models_.reserve(other.models_.size());
   for (const auto& m : other.models_) models_.push_back(m->CloneServable());
 }
@@ -44,12 +42,16 @@ std::shared_ptr<core::ServableModel> ShardedServable::CloneServable() const {
 }
 
 double ShardedServable::EstimateCard(const workload::Query& query) const {
+  const size_t n = models_.size();
+  stat_queries_.fetch_add(1, std::memory_order_relaxed);
   double total = 0.0;
-  if (config_.prune) {
-    for (int s : partitioner_->CandidateShards(query)) {
-      total += models_[static_cast<size_t>(s)]->EstimateCard(query);
-    }
+  if (prune_) {
+    std::vector<int> cands = partitioner_->CandidateShards(query);
+    stat_evaluated_.fetch_add(cands.size(), std::memory_order_relaxed);
+    stat_pruned_.fetch_add(n - cands.size(), std::memory_order_relaxed);
+    for (int s : cands) total += models_[static_cast<size_t>(s)]->EstimateCard(query);
   } else {
+    stat_evaluated_.fetch_add(n, std::memory_order_relaxed);
     for (const auto& m : models_) total += m->EstimateCard(query);
   }
   return total;
@@ -57,21 +59,32 @@ double ShardedServable::EstimateCard(const workload::Query& query) const {
 
 std::vector<double> ShardedServable::EstimateCards(
     std::span<const workload::Query> queries) const {
-  // Same shard-ascending grouped fan-out as ShardedUae::EstimateCards: each
-  // shard answers one batched call, accumulation order matches the pruned
-  // per-query sum, so batching cannot change bits.
+  // Group queries per shard so each shard model answers one batched
+  // EstimateCards call instead of one call per (query, shard). Shards are
+  // accumulated in ascending order — the same per-query summation order as
+  // EstimateCard's pruned fan-out — and every per-shard estimate is a pure
+  // function of (shard model, query), so element i stays bit-identical to
+  // EstimateCard(queries[i]) for any batch size or thread count.
   const size_t n_q = queries.size();
   const size_t n_s = models_.size();
   std::vector<double> cards(n_q, 0.0);
   if (n_q == 0) return cards;
+  stat_queries_.fetch_add(n_q, std::memory_order_relaxed);
   std::vector<std::vector<size_t>> per_shard(n_s);
-  for (size_t i = 0; i < n_q; ++i) {
-    if (config_.prune) {
-      for (int s : partitioner_->CandidateShards(queries[i])) {
-        per_shard[static_cast<size_t>(s)].push_back(i);
-      }
-    } else {
-      for (size_t s = 0; s < n_s; ++s) per_shard[s].push_back(i);
+  if (prune_) {
+    uint64_t evaluated = 0;
+    for (size_t i = 0; i < n_q; ++i) {
+      std::vector<int> cands = partitioner_->CandidateShards(queries[i]);
+      evaluated += cands.size();
+      for (int s : cands) per_shard[static_cast<size_t>(s)].push_back(i);
+    }
+    stat_evaluated_.fetch_add(evaluated, std::memory_order_relaxed);
+    stat_pruned_.fetch_add(n_s * n_q - evaluated, std::memory_order_relaxed);
+  } else {
+    stat_evaluated_.fetch_add(n_s * n_q, std::memory_order_relaxed);
+    for (size_t s = 0; s < n_s; ++s) {
+      per_shard[s].resize(n_q);
+      std::iota(per_shard[s].begin(), per_shard[s].end(), size_t{0});
     }
   }
   std::vector<workload::Query> batch;
@@ -90,6 +103,12 @@ std::vector<double> ShardedServable::EstimateCards(
 size_t ShardedServable::SizeBytes() const {
   size_t total = 0;
   for (const auto& m : models_) total += m->SizeBytes();
+  return total;
+}
+
+size_t ShardedServable::num_rows() const {
+  size_t total = 0;
+  for (const auto& m : models_) total += m->num_rows();
   return total;
 }
 
@@ -135,6 +154,14 @@ size_t ShardedServable::FineTune(const workload::Workload& workload,
       },
       /*min_parallel_size=*/1);
   return used.load(std::memory_order_relaxed);
+}
+
+ShardedServable::FanoutStats ShardedServable::fanout_stats() const {
+  FanoutStats s;
+  s.queries = stat_queries_.load(std::memory_order_relaxed);
+  s.evaluated = stat_evaluated_.load(std::memory_order_relaxed);
+  s.pruned = stat_pruned_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace uae::shard

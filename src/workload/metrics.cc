@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
 namespace uae::workload {
 
 double QError(double est_card, double true_card) {
+  // std::max(NaN, 1.0) is NaN, which would leak into every aggregate.
+  if (std::isnan(est_card) || std::isnan(true_card)) {
+    return std::numeric_limits<double>::infinity();
+  }
   double e = std::max(est_card, 1.0);
   double t = std::max(true_card, 1.0);
   return std::max(e / t, t / e);

@@ -106,6 +106,8 @@ TEST(RefreshControllerTest, OnlyStaleShardRetrainsOthersBitwiseIdentical) {
   // The stale shard absorbed the delta rows and its parameters moved...
   EXPECT_EQ(refreshed->shard_model(1).num_rows(),
             f.model->shard_model(1).num_rows() + 64);
+  // The top-level row count is derived from the shards, so it follows too.
+  EXPECT_EQ(refreshed->num_rows(), f.model->num_rows() + 64);
   EXPECT_NE(ShardParams(*refreshed, 1), before[1]);
   // ...while every untouched shard is bitwise identical.
   for (int s : {0, 2, 3}) {

@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "data/synthetic.h"
-#include "estimators/sharded_adapter.h"
 #include "nn/serialize.h"
 #include "shard/sharded_uae.h"
 #include "util/quantiles.h"
@@ -207,25 +206,6 @@ TEST(ShardedUaeTest, FineTuneRefitsOnlyTargetedShards) {
       EXPECT_EQ(after, before[static_cast<size_t>(s)])
           << "untouched shard " << s << " was modified";
     }
-  }
-}
-
-TEST(ShardedUaeTest, AdapterJoinsTheEstimatorZoo) {
-  Fixture f;
-  ShardedUaeConfig sc;
-  sc.base = SmallConfig();
-  sc.partition.num_shards = 2;
-  ShardedUae sharded(f.table, sc);
-  sharded.TrainDataEpochs(1);
-
-  estimators::ShardedEstimator adapter(&sharded, "Sharded-2xNaru");
-  EXPECT_EQ(adapter.name(), "Sharded-2xNaru");
-  EXPECT_EQ(adapter.SizeBytes(), sharded.SizeBytes());
-  std::vector<double> via_adapter = adapter.EstimateCards(f.queries);
-  std::vector<double> direct = sharded.EstimateCards(f.queries);
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_DOUBLE_EQ(via_adapter[i], direct[i]);
-    EXPECT_DOUBLE_EQ(adapter.EstimateCard(f.queries[i]), direct[i]);
   }
 }
 

@@ -517,8 +517,20 @@ TEST(SpnShardingTest, PerShardSpnsPruneRouteAndStayIsolated) {
   pinned.AddPredicate(second, s.table.column(1).domain());
   ASSERT_EQ(sharded.partitioner().CandidateShards(pinned),
             std::vector<int>{0});
+  shard::ShardedServable::FanoutStats fan0 = sharded.fanout_stats();
   EXPECT_DOUBLE_EQ(sharded.EstimateCard(pinned),
                    sharded.shard_model(0).EstimateCard(pinned));
+  shard::ShardedServable::FanoutStats fan1 = sharded.fanout_stats();
+  EXPECT_EQ(fan1.queries - fan0.queries, 1u);
+  EXPECT_EQ(fan1.evaluated - fan0.evaluated, 1u);
+  EXPECT_EQ(fan1.pruned - fan0.pruned, 3u);
+  // Full fan-out evaluates every shard and prunes none.
+  sharded.set_prune(false);
+  sharded.EstimateCard(pinned);
+  shard::ShardedServable::FanoutStats fan2 = sharded.fanout_stats();
+  EXPECT_EQ(fan2.evaluated - fan1.evaluated, 4u);
+  EXPECT_EQ(fan2.pruned - fan1.pruned, 0u);
+  sharded.set_prune(true);
 
   // Batched == sequential, bitwise, across the pruned fan-out.
   std::vector<workload::Query> queries{pinned};

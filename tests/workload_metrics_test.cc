@@ -1,6 +1,8 @@
 // workload/: q-error metric properties and selectivity histograms.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "workload/metrics.h"
 
 namespace uae::workload {
@@ -15,6 +17,13 @@ TEST(MetricsTest, QErrorSymmetricAndFloored) {
   EXPECT_DOUBLE_EQ(QError(0, 50), 50.0);
   EXPECT_DOUBLE_EQ(QError(50, 0), 50.0);
   EXPECT_GE(QError(3.7, 9.1), 1.0);
+  // Total: a NaN estimate or truth is the worst possible q-error, not NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(QError(nan, 10), inf);
+  EXPECT_EQ(QError(10, nan), inf);
+  EXPECT_EQ(QError(nan, nan), inf);
+  EXPECT_EQ(QError(nan, 0), inf);
 }
 
 TEST(MetricsTest, EvaluateQErrors) {
