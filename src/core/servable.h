@@ -1,16 +1,21 @@
-// ServableModel — the contract between an estimation model and the layers
-// that deploy it (serve/ snapshots, online/ adaptation). A snapshot is any
-// immutable object that can answer cardinality queries; a candidate for
-// hot-swap is any mutable clone that can fine-tune on labeled feedback.
+// The estimation contract, in two layers. core::CardinalityEstimator is the
+// read-only part every model implements: estimate one query, estimate a
+// batch, report a size. The paper's estimator zoo (histograms, sampling,
+// KDE, MSCN, BayesNet, ...) implements only that, and the bench harness
+// evaluates any CardinalityEstimator. core::ServableModel adds the lifecycle
+// the deployment layers (serve/ snapshots, online/ adaptation, router/,
+// shard/) need: optional join estimation, row count, seed, clone, and
+// fine-tune on labeled feedback.
 //
-// Implementations: the monolithic core::Uae (one autoregressive model over
-// one table, the paper's setting), estimators::SpnServable (the
+// ServableModel implementations: the monolithic core::Uae (one
+// autoregressive model over one table, the paper's setting),
+// core::QuantizedUae (frozen int8), estimators::SpnEstimator (the
 // query-driven SPN backend), shard::ShardedServable (one factory-built
 // servable per horizontal partition with pruned fan-out; shard::ShardedUae
 // is it with a UAE factory), router::HybridRouter (a servable fronting a
-// zoo of backends), and estimators::ServableEstimatorAdapter (read-only lift
-// of a zoo estimator). The serving and adaptation layers are written against
-// this interface so any deployment hot-swaps and self-repairs the same way.
+// zoo of backends), and ingest::DeltaAwareModel. The serving and adaptation
+// layers are written against this interface so any deployment hot-swaps and
+// self-repairs the same way.
 #pragma once
 
 #include <cstdint>
@@ -40,18 +45,30 @@ struct FineTuneSpec {
   double learning_rate = 0.0;
 };
 
-class ServableModel {
+/// Read-only cardinality estimation. Training happens in the concrete
+/// constructors and trainers (models differ in what they learn from: data,
+/// queries, or both); estimation is uniform.
+class CardinalityEstimator {
  public:
-  virtual ~ServableModel() = default;
+  virtual ~CardinalityEstimator() = default;
 
-  /// Estimated cardinality of a single-table query. Must be a pure function
-  /// of (model, query): independent of call order, batch composition, and
-  /// thread count, so served results are reproducible bitwise.
+  /// Estimated cardinality (row count) of a single-table query. Must be a
+  /// pure function of (model, query): independent of call order, batch
+  /// composition, and thread count, so results are reproducible bitwise.
   virtual double EstimateCard(const workload::Query& query) const = 0;
   /// Batched estimation; element i is bit-identical to EstimateCard(queries[i]).
+  /// The default loops EstimateCard; models with a parallel hot path override
+  /// it to fan the work out.
   virtual std::vector<double> EstimateCards(
-      std::span<const workload::Query> queries) const = 0;
+      std::span<const workload::Query> queries) const;
+  /// Model budget in bytes (the "Size" column of the paper's tables).
+  virtual size_t SizeBytes() const = 0;
+};
 
+/// A deployable model: an estimator plus what publishing, adapting, routing
+/// and sharding it takes.
+class ServableModel : public CardinalityEstimator {
+ public:
   // ---- Join estimation (optional capability) -------------------------------
   // A model constructed over a data::JoinUniverse can answer sub-plan
   // cardinalities for the join optimizer. The serving layer routes join
@@ -70,7 +87,6 @@ class ServableModel {
   virtual std::vector<double> EstimateJoinCards(
       std::span<const workload::JoinQuery> queries) const;
 
-  virtual size_t SizeBytes() const = 0;
   /// Rows of the underlying table (feedback selectivities derive from this).
   virtual size_t num_rows() const = 0;
   /// The model's construction seed (adaptation controllers mix it into their

@@ -7,19 +7,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 
 namespace uae::estimators {
 
-class BayesNetEstimator : public CardinalityEstimator {
+class BayesNetEstimator : public core::CardinalityEstimator {
  public:
   /// `mi_sample_rows` bounds the rows used for mutual-information estimation
   /// (the tree structure); CPTs use all rows. `alpha` is Laplace smoothing.
   BayesNetEstimator(const data::Table& table, size_t mi_sample_rows = 20000,
                     double alpha = 0.1, uint64_t seed = 13);
 
-  std::string name() const override { return "BayesNet"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
 

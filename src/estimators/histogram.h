@@ -5,8 +5,8 @@
 
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 
 namespace uae::estimators {
 
@@ -34,11 +34,10 @@ class ColumnHistogram {
   int32_t domain_ = 0;
 };
 
-class HistogramAviEstimator : public CardinalityEstimator {
+class HistogramAviEstimator : public core::CardinalityEstimator {
  public:
   HistogramAviEstimator(const data::Table& table, int buckets_per_column);
 
-  std::string name() const override { return "Histogram-AVI"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
 

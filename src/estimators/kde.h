@@ -6,17 +6,16 @@
 
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "util/rng.h"
 
 namespace uae::estimators {
 
-class KdeEstimator : public CardinalityEstimator {
+class KdeEstimator : public core::CardinalityEstimator {
  public:
   KdeEstimator(const data::Table& table, size_t sample_size, uint64_t seed);
 
-  std::string name() const override { return "KDE"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
 

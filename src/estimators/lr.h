@@ -6,20 +6,19 @@
 
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "workload/query.h"
 
 namespace uae::estimators {
 
-class LrEstimator : public CardinalityEstimator {
+class LrEstimator : public core::CardinalityEstimator {
  public:
   LrEstimator(const data::Table& table, double ridge = 1e-3);
 
   /// Fits on a labeled workload (query-driven: never sees the data).
   void Train(const workload::Workload& workload);
 
-  std::string name() const override { return "LR"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override { return weights_.size() * sizeof(double); }
 

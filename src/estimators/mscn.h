@@ -11,8 +11,8 @@
 
 #include <memory>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "util/rng.h"
@@ -29,7 +29,7 @@ struct MscnConfig {
   uint64_t seed = 21;
 };
 
-class MscnEstimator : public CardinalityEstimator {
+class MscnEstimator : public core::CardinalityEstimator {
  public:
   MscnEstimator(const data::Table& table, const MscnConfig& config);
 
@@ -38,7 +38,6 @@ class MscnEstimator : public CardinalityEstimator {
   void Train(const workload::Workload& workload,
              const std::vector<std::vector<float>>* extras = nullptr);
 
-  std::string name() const override { return "MSCN-base"; }
   double EstimateCard(const workload::Query& query) const override;
   /// Estimation with extra features (must match config.extra_dim).
   double EstimateCardExtra(const workload::Query& query,
@@ -70,14 +69,13 @@ class MscnEstimator : public CardinalityEstimator {
 
 /// MSCN+sampling: MSCN with a materialized uniform sample whose per-query hit
 /// fraction (the collapsed bitmap) is fed as extra features.
-class MscnSamplingEstimator : public CardinalityEstimator {
+class MscnSamplingEstimator : public core::CardinalityEstimator {
  public:
   MscnSamplingEstimator(const data::Table& table, size_t sample_rows,
                         MscnConfig config);
 
   void Train(const workload::Workload& workload);
 
-  std::string name() const override { return "MSCN+sampling"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
 

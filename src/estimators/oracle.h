@@ -3,16 +3,15 @@
 // reference in tests.
 #pragma once
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 
 namespace uae::estimators {
 
-class OracleEstimator : public CardinalityEstimator {
+class OracleEstimator : public core::CardinalityEstimator {
  public:
   explicit OracleEstimator(const data::Table& table) : table_(table) {}
 
-  std::string name() const override { return "TrueCard"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override { return 0; }
 

@@ -4,17 +4,16 @@
 
 #include <memory>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "util/rng.h"
 
 namespace uae::estimators {
 
-class SamplingEstimator : public CardinalityEstimator {
+class SamplingEstimator : public core::CardinalityEstimator {
  public:
   SamplingEstimator(const data::Table& table, double fraction, uint64_t seed);
 
-  std::string name() const override { return "Sampling"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
 

@@ -10,11 +10,12 @@
 
 #include "util/common.h"
 #include "util/mathutil.h"
+#include "util/threadpool.h"
 
 namespace uae::estimators {
 
 SpnEstimator::SpnEstimator(const data::Table& table, const SpnConfig& config)
-    : table_(&table), config_(config) {
+    : table_(&table), config_(config), num_rows_(table.num_rows()) {
   util::Rng rng(config.seed);
   std::vector<size_t> rows(table.num_rows());
   std::iota(rows.begin(), rows.end(), 0);
@@ -27,13 +28,14 @@ SpnEstimator::SpnEstimator(const SpnEstimator& other)
     : table_(other.table_),
       config_(other.config_),
       root_(CloneNode(*other.root_)),
+      num_rows_(other.num_rows_),
       size_bytes_(other.size_bytes_),
       n_sum_(other.n_sum_),
       n_product_(other.n_product_),
       n_leaf_(other.n_leaf_) {}
 
-std::unique_ptr<SpnEstimator> SpnEstimator::Clone() const {
-  return std::unique_ptr<SpnEstimator>(new SpnEstimator(*this));
+std::shared_ptr<core::ServableModel> SpnEstimator::CloneServable() const {
+  return std::shared_ptr<SpnEstimator>(new SpnEstimator(*this));
 }
 
 std::unique_ptr<SpnEstimator::Node> SpnEstimator::CloneNode(const Node& node) {
@@ -271,7 +273,21 @@ double SpnEstimator::Evaluate(
 }
 
 double SpnEstimator::EstimateCard(const workload::Query& query) const {
-  return Evaluate(*root_, query, nullptr) * static_cast<double>(table_->num_rows());
+  // The construction-time row snapshot, not the live count: stays pure under
+  // concurrent ingest into the backing table.
+  return EstimateSelectivity(query) * static_cast<double>(num_rows_);
+}
+
+std::vector<double> SpnEstimator::EstimateCards(
+    std::span<const workload::Query> queries) const {
+  std::vector<double> out(queries.size());
+  util::ParallelFor(
+      0, queries.size(),
+      [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) out[i] = EstimateCard(queries[i]);
+      },
+      /*min_parallel_size=*/64);
+  return out;
 }
 
 double SpnEstimator::EstimateSelectivity(const workload::Query& query) const {
@@ -287,6 +303,13 @@ double SpnEstimator::EstimateSelectivityWeighted(
 // ---------------------------------------------------------------------------
 // Query-driven fine-tuning (arXiv 2505.08318-style multiplicative updates).
 // ---------------------------------------------------------------------------
+
+size_t SpnEstimator::FineTune(const workload::Workload& workload,
+                              const core::FineTuneSpec& spec) {
+  SpnFineTuneConfig ft = config_.finetune;
+  if (spec.learning_rate > 0.0) ft.learning_rate = spec.learning_rate;
+  return FineTuneOnQueries(workload, spec.query_steps, ft);
+}
 
 double SpnEstimator::EvalStore(Node* node, const workload::Query& query) {
   switch (node->type) {

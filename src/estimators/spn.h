@@ -11,6 +11,16 @@
 // fine-tuning (arXiv 2505.08318's unified data+query view): labeled query
 // feedback multiplicatively reweights sum-node mixtures and leaf histogram
 // bins toward observed selectivities. See FineTuneOnQueries.
+//
+// The SPN is itself a core::ServableModel, so the serving, adaptation,
+// routing, and sharding layers deploy it exactly like a UAE: EstimateCard is
+// one sampling-free bottom-up pass, FineTune runs the multiplicative update,
+// CloneServable deep-copies to a bitwise-identical independent candidate,
+// and the object is pure for concurrent readers between FineTune calls.
+// EstimateCard scales the root selectivity by the row count snapshotted at
+// construction, not the table's live count, so a published SPN keeps
+// answering bitwise-identically while rows stream into its table. The table
+// must outlive the SPN and every clone.
 #pragma once
 
 #include <memory>
@@ -18,25 +28,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "util/rng.h"
 #include "workload/query.h"
 
 namespace uae::estimators {
-
-struct SpnConfig {
-  size_t min_instances = 512;   ///< Rows below this become leaf products.
-  /// NMI above this means "dependent". 0.3 mirrors DeepDB's default RDC
-  /// threshold — coarse enough that residual correlation inside product
-  /// splits shows up at the error tail on strongly correlated data (§5.2
-  /// finding 5).
-  double corr_threshold = 0.3;
-  size_t nmi_sample_rows = 2000;
-  int kmeans_iters = 6;
-  int max_depth = 24;
-  uint64_t seed = 31;
-};
 
 /// Knobs for the query-driven multiplicative/EM update (arXiv 2505.08318
 /// style: nudge the SPN's parameters so its selectivity for each labeled
@@ -56,17 +53,48 @@ struct SpnFineTuneConfig {
   double min_selectivity = 1e-12;
 };
 
-class SpnEstimator : public CardinalityEstimator {
+struct SpnConfig {
+  size_t min_instances = 512;   ///< Rows below this become leaf products.
+  /// NMI above this means "dependent". 0.3 mirrors DeepDB's default RDC
+  /// threshold — coarse enough that residual correlation inside product
+  /// splits shows up at the error tail on strongly correlated data (§5.2
+  /// finding 5).
+  double corr_threshold = 0.3;
+  size_t nmi_sample_rows = 2000;
+  int kmeans_iters = 6;
+  int max_depth = 24;
+  uint64_t seed = 31;
+  /// Defaults for FineTune; FineTuneSpec.learning_rate > 0 overrides the
+  /// learning rate per call (the AdaptationController passthrough).
+  SpnFineTuneConfig finetune;
+};
+
+class SpnEstimator : public core::ServableModel {
  public:
+  /// Builds the SPN over `table` and snapshots its row count. The table
+  /// reference must outlive the SPN and all of its clones.
   SpnEstimator(const data::Table& table, const SpnConfig& config);
 
-  std::string name() const override { return "DeepDB-SPN"; }
+  /// EstimateSelectivity times the construction-time row count.
   double EstimateCard(const workload::Query& query) const override;
+  /// Fans the queries across the global pool; each element is an independent
+  /// pure read of the tree, so results are bitwise the sequential path.
+  std::vector<double> EstimateCards(
+      std::span<const workload::Query> queries) const override;
   size_t SizeBytes() const override { return size_bytes_; }
+  size_t num_rows() const override { return num_rows_; }
+  uint64_t seed() const override { return config_.seed; }
+  /// Deep copy: the clone shares nothing with *this (bitwise-identical
+  /// parameters, independent storage) and references the same table.
+  std::shared_ptr<core::ServableModel> CloneServable() const override;
+  /// Runs spec.query_steps multiplicative updates over `workload` with
+  /// config.finetune (spec.learning_rate > 0 overrides its learning rate;
+  /// spec.hybrid_epochs has no SPN analogue and is ignored). Returns what
+  /// FineTuneOnQueries returns; 0 means the parameters are bitwise unchanged.
+  size_t FineTune(const workload::Workload& workload,
+                  const core::FineTuneSpec& spec) override;
 
-  /// Root selectivity in [0, 1]; EstimateCard is this times the table's
-  /// *live* row count. Servable wrappers that must stay pure under
-  /// concurrent ingest snapshot a row count and use this instead.
+  /// Root selectivity in [0, 1].
   double EstimateSelectivity(const workload::Query& query) const;
 
   /// Selectivity with per-column weight vectors (join fanout downscaling):
@@ -76,10 +104,6 @@ class SpnEstimator : public CardinalityEstimator {
   double EstimateSelectivityWeighted(
       const workload::Query& query,
       const std::unordered_map<int, std::vector<float>>& col_weights) const;
-
-  /// Deep copy: the clone shares nothing with *this (bitwise-identical
-  /// parameters, independent storage) and references the same table.
-  std::unique_ptr<SpnEstimator> Clone() const;
 
   /// Query-driven fine-tune: runs `steps` multiplicative updates, cycling
   /// deterministically through `workload` in order. Each step moves the
@@ -111,7 +135,7 @@ class SpnEstimator : public CardinalityEstimator {
   std::string StructureSignature() const;
 
  private:
-  /// Deep copy used by Clone(); copies the tree node-by-node.
+  /// Deep copy used by CloneServable(); copies the tree node-by-node.
   SpnEstimator(const SpnEstimator& other);
 
   struct Node {
@@ -152,6 +176,7 @@ class SpnEstimator : public CardinalityEstimator {
   const data::Table* table_;
   SpnConfig config_;
   std::unique_ptr<Node> root_;
+  size_t num_rows_;  ///< Row count snapshotted at construction.
   size_t size_bytes_ = 0;
   int n_sum_ = 0, n_product_ = 0, n_leaf_ = 0;
 };

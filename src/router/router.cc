@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "util/common.h"
+#include "workload/metrics.h"
 
 namespace uae::router {
 
@@ -16,18 +16,6 @@ uint64_t NowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Symmetric q-error with the usual 1-row floors (a zero-cardinality truth
-/// or estimate would otherwise make the ratio degenerate). A NaN estimate or
-/// truth gives NaN, never a floored "perfect" 1.
-double QError(double estimate, double truth) {
-  if (std::isnan(estimate) || std::isnan(truth)) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  const double e = std::max(1.0, estimate);
-  const double t = std::max(1.0, truth);
-  return std::max(e / t, t / e);
 }
 
 }  // namespace
@@ -58,7 +46,7 @@ void HybridRouter::QerrWindow::Add(double q, size_t cap) {
 
 HybridRouter::HybridRouter(
     std::shared_ptr<core::ServableModel> primary,
-    std::shared_ptr<const estimators::CardinalityEstimator> floor,
+    std::shared_ptr<const core::CardinalityEstimator> floor,
     std::vector<int32_t> domains, const RouterConfig& config)
     : primary_(std::move(primary)),
       floor_(std::move(floor)),
@@ -328,7 +316,8 @@ size_t HybridRouter::ObserveFeedback(
                                   : (state.on_alt && alt_ != nullptr
                                          ? Backend::kAlt
                                          : Backend::kPrimary);
-    const double served_q = QError(entry.estimated_card, entry.true_card);
+    const double served_q =
+        workload::QError(entry.estimated_card, entry.true_card);
     if (usable(served_q)) {
       qerr_windows_[static_cast<size_t>(served_by)].Add(served_q,
                                                         config_.qerr_window);
@@ -344,11 +333,12 @@ size_t HybridRouter::ObserveFeedback(
       // The kNN EMA always tracks the shadow value, whether or not the class
       // currently serves from kNN (the shadow is what promotion/demotion
       // must judge).
-      const double knn_q = QError(std::exp(*knn_log), entry.true_card);
+      const double knn_q =
+          workload::QError(std::exp(*knn_log), entry.true_card);
       if (usable(knn_q)) ema_update(Backend::kKnn, knn_q);
     }
     const double floor_q =
-        QError(floor_->EstimateCard(entry.query), entry.true_card);
+        workload::QError(floor_->EstimateCard(entry.query), entry.true_card);
     if (usable(floor_q)) {
       ema_update(Backend::kFloor, floor_q);
       qerr_windows_[static_cast<size_t>(Backend::kFloor)].Add(
@@ -359,7 +349,7 @@ size_t HybridRouter::ObserveFeedback(
       // judge. (When the class already serves from the alt, the served
       // q-error above is the same signal; skip the duplicate window sample.)
       const double alt_q =
-          QError(alt_->EstimateCard(entry.query), entry.true_card);
+          workload::QError(alt_->EstimateCard(entry.query), entry.true_card);
       if (usable(alt_q)) {
         ema_update(Backend::kAlt, alt_q);
         if (served_by != Backend::kAlt) {

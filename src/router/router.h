@@ -9,7 +9,7 @@
 //     (router/knn.h, the AQO OkNNr design). Microseconds; classes are
 //     promoted onto it only once their rolling kNN q-error proves out.
 //   * floor   — a bounded-latency classical estimator (histogram/sampling;
-//     any estimators::CardinalityEstimator). Engages per request when the
+//     any core::CardinalityEstimator). Engages per request when the
 //     load probe reports an SLO breach: under overload the router degrades
 //     to cheap-but-bounded answers instead of stalling the queue.
 //   * alt     — an optional second full ServableModel (the query-driven SPN
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "core/servable.h"
-#include "estimators/estimator.h"
 #include "online/feedback.h"
 #include "router/knn.h"
 #include "router/query_class.h"
@@ -148,7 +147,7 @@ class HybridRouter : public core::ServableModel {
   /// is the bounded-latency degradation backend; `domains[c]` is column c's
   /// dictionary size (feature normalization — see router/query_class.h).
   HybridRouter(std::shared_ptr<core::ServableModel> primary,
-               std::shared_ptr<const estimators::CardinalityEstimator> floor,
+               std::shared_ptr<const core::CardinalityEstimator> floor,
                std::vector<int32_t> domains, const RouterConfig& config = {});
 
   // ---- core::ServableModel --------------------------------------------------
@@ -179,7 +178,7 @@ class HybridRouter : public core::ServableModel {
   size_t UpdateFromCollector(online::FeedbackCollector* collector);
 
   /// Installs the optional alt backend (a second full ServableModel, e.g.
-  /// estimators::SpnServable). Like SetLoadProbe, must be wired before
+  /// estimators::SpnEstimator). Like SetLoadProbe, must be wired before
   /// concurrent serving starts; classes are only ever promoted onto the alt
   /// after it is set. Pass nullptr to clear.
   void SetAltBackend(std::shared_ptr<const core::ServableModel> alt);
@@ -240,7 +239,7 @@ class HybridRouter : public core::ServableModel {
   void RecordServed(Backend backend, uint64_t micros) const;
 
   const std::shared_ptr<core::ServableModel> primary_;
-  const std::shared_ptr<const estimators::CardinalityEstimator> floor_;
+  const std::shared_ptr<const core::CardinalityEstimator> floor_;
   /// Optional second model backend; immutable once serving starts (wired via
   /// SetAltBackend like the probe).
   std::shared_ptr<const core::ServableModel> alt_;

@@ -23,7 +23,7 @@ std::vector<double> EvaluateQErrors(
     const Workload& workload, const std::function<double(const Query&)>& estimate);
 
 /// Batched variant: hands the whole query list to `estimate_batch` at once so
-/// batch-parallel estimators (estimators::CardinalityEstimator::EstimateCards)
+/// batch-parallel estimators (core::CardinalityEstimator::EstimateCards)
 /// go through their fan-out hot path. Q-errors are returned in workload order.
 using BatchEstimateFn =
     std::function<std::vector<double>(std::span<const Query>)>;

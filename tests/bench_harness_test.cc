@@ -63,10 +63,9 @@ TEST(BenchDatasetTest, DispatchesByName) {
 /// Counts the per-workload evaluation work an estimator row triggers — the
 /// regression the PreparedWorkload hoist fixes: setup must happen once per
 /// workload, not once per (estimator row x workload).
-class CountingEstimator : public estimators::CardinalityEstimator {
+class CountingEstimator : public core::CardinalityEstimator {
  public:
   explicit CountingEstimator(double card) : card_(card) {}
-  std::string name() const override { return "counting"; }
   double EstimateCard(const workload::Query&) const override {
     single_calls.fetch_add(1);
     return card_;

@@ -1,6 +1,5 @@
 // router/: HybridRouter routing + degradation + stats, per-class kNN, query
-// classification, the serve/ latency histogram, and the classical-estimator
-// servable adapter.
+// classification, and the serve/ latency histogram.
 //
 // Coverage demanded by the degradation design: cold start routes everything
 // to the primary bitwise; hot classes promote onto the kNN fast path and
@@ -21,7 +20,7 @@
 #include "data/synthetic.h"
 #include "estimators/histogram.h"
 #include "estimators/oracle.h"
-#include "estimators/servable_adapter.h"
+#include "fake_servable.h"
 #include "online/feedback.h"
 #include "router/knn.h"
 #include "router/query_class.h"
@@ -46,8 +45,8 @@ struct Fixture {
     }
     oracle = std::make_shared<estimators::OracleEstimator>(table);
     histogram = std::make_shared<estimators::HistogramAviEstimator>(table, 8);
-    primary = std::make_shared<estimators::ServableEstimatorAdapter>(
-        oracle, table.num_rows(), /*seed=*/3);
+    primary = std::make_shared<fakes::ReadOnlyServable>(oracle, table.num_rows(),
+                                                        /*seed=*/3);
     workload::GeneratorConfig gc;
     gc.min_filters = 1;
     gc.max_filters = 3;
@@ -195,28 +194,6 @@ TEST(LatencyHistogramTest, SnapshotQuantilesTrackTheSample) {
   EXPECT_NEAR(snap.p95_us, 95.0, 95.0 * 0.125 + 1.0);
   EXPECT_GE(snap.p99_us, snap.p95_us);
   EXPECT_GT(snap.mean_us, 0.0);
-}
-
-// ---- Servable adapter ------------------------------------------------------
-
-TEST(ServableAdapterTest, DelegatesClonesAndRefusesToFineTune) {
-  Fixture& f = Shared();
-  estimators::ServableEstimatorAdapter adapter(f.histogram,
-                                               f.table.num_rows(), 7);
-  EXPECT_EQ(adapter.num_rows(), f.table.num_rows());
-  EXPECT_EQ(adapter.seed(), 7u);
-  EXPECT_EQ(adapter.SizeBytes(), f.histogram->SizeBytes());
-  std::vector<workload::Query> queries;
-  for (const auto& lq : f.labeled) queries.push_back(lq.query);
-  const std::vector<double> batched = adapter.EstimateCards(queries);
-  auto clone = adapter.CloneServable();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const double direct = f.histogram->EstimateCard(queries[i]);
-    EXPECT_EQ(adapter.EstimateCard(queries[i]), direct);
-    EXPECT_EQ(batched[i], direct);
-    EXPECT_EQ(clone->EstimateCard(queries[i]), direct);
-  }
-  EXPECT_EQ(clone->FineTune(workload::Workload{}, core::FineTuneSpec{}), 0u);
 }
 
 // ---- HybridRouter ----------------------------------------------------------

@@ -1,12 +1,12 @@
 // SPN backend: the three spn.cc bugfix regressions (overflow-dictionary
 // leaf sizing, deterministic product-split child order, col_weights length
 // validation) plus the ServableModel conformance suite for
-// estimators::SpnServable — clone bitwise-independence, fine-tune
-// determinism across thread counts, the adaptation guard refusing a worse
-// fine-tuned SPN, the router promoting the SPN for a query class where its
-// shadow q-error wins, hot-swap under concurrent clients (run under TSan via
-// the unit-spn label), and per-shard SPN instantiation through
-// shard::ShardedServable.
+// estimators::SpnEstimator — clone bitwise-independence, purity under rows
+// appended to the backing table, fine-tune determinism across thread counts,
+// the adaptation guard refusing a worse fine-tuned SPN, the router promoting
+// the SPN for a query class where its shadow q-error wins, hot-swap under
+// concurrent clients (run under TSan via the unit-spn label), and per-shard
+// SPN instantiation through shard::ShardedServable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +19,8 @@
 #include "data/synthetic.h"
 #include "data/table.h"
 #include "estimators/histogram.h"
-#include "estimators/servable_adapter.h"
 #include "estimators/spn.h"
-#include "estimators/spn_servable.h"
+#include "fake_servable.h"
 #include "online/controller.h"
 #include "online/feedback.h"
 #include "router/router.h"
@@ -38,8 +37,6 @@ namespace {
 
 using estimators::SpnConfig;
 using estimators::SpnEstimator;
-using estimators::SpnServable;
-using estimators::SpnServableConfig;
 
 /// Labeled band workload over `table` (truths executed against the table).
 workload::Workload BandWorkload(const data::Table& table, int count,
@@ -206,18 +203,18 @@ struct SpnScenario {
   /// A deliberately coarse SPN: an impossible correlation threshold forces a
   /// pure product (independence) factorization, so there is real accuracy
   /// headroom for query-driven fine-tuning on the correlated band.
-  SpnServableConfig StaleConfig() const {
-    SpnServableConfig config;
-    config.spn.corr_threshold = 2.0;
-    config.spn.min_instances = 256;
+  SpnConfig StaleConfig() const {
+    SpnConfig config;
+    config.corr_threshold = 2.0;
+    config.min_instances = 256;
     return config;
   }
 
   /// A fine-grained SPN (conditioning sum splits): accurate out of the box.
-  SpnServableConfig AccurateConfig() const {
-    SpnServableConfig config;
-    config.spn.corr_threshold = 0.05;
-    config.spn.min_instances = 256;
+  SpnConfig AccurateConfig() const {
+    SpnConfig config;
+    config.corr_threshold = 0.05;
+    config.min_instances = 256;
     return config;
   }
 };
@@ -228,12 +225,12 @@ SpnScenario& Shared() {
 }
 
 std::string Signature(const core::ServableModel& model) {
-  return dynamic_cast<const SpnServable&>(model).spn().StructureSignature();
+  return dynamic_cast<const SpnEstimator&>(model).StructureSignature();
 }
 
 TEST(SpnServableTest, FineTuneImprovesHeldOutAccuracy) {
   SpnScenario& s = Shared();
-  auto stale = std::make_shared<SpnServable>(s.table, s.StaleConfig());
+  auto stale = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   const double stale_median = MedianQError(*stale, s.test);
 
   auto tuned = stale->CloneServable();
@@ -247,7 +244,7 @@ TEST(SpnServableTest, FineTuneImprovesHeldOutAccuracy) {
 
 TEST(SpnServableTest, CloneIsBitwiseIndependent) {
   SpnScenario& s = Shared();
-  auto original = std::make_shared<SpnServable>(s.table, s.StaleConfig());
+  auto original = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   const std::string before = Signature(*original);
 
   auto clone = original->CloneServable();
@@ -264,13 +261,60 @@ TEST(SpnServableTest, CloneIsBitwiseIndependent) {
   for (size_t i = 0; i < 8; ++i) {
     const double card = original->EstimateCard(s.test[i].query);
     EXPECT_DOUBLE_EQ(
-        card, SpnServable(s.table, s.StaleConfig()).EstimateCard(s.test[i].query));
+        card, SpnEstimator(s.table, s.StaleConfig()).EstimateCard(s.test[i].query));
+  }
+}
+
+// EstimateCard scales by the row count snapshotted at construction, so rows
+// streamed into the backing table afterwards must not move a published SPN's
+// answers or its num_rows() (feedback selectivities divide by it). Reading
+// the table's live row count instead scales every estimate by the growth.
+// The batch is above EstimateCards' parallel threshold (64), so the pool
+// fan-out runs here, under TSan via the unit-spn label.
+TEST(SpnServableTest, EstimatesIgnoreRowsAppendedAfterConstruction) {
+  data::Table table = MakeCorrelatedPair(4000, 33);
+  const workload::Workload test = BandWorkload(table, 96, 909);
+  std::vector<workload::Query> queries;
+  for (const auto& lq : test) queries.push_back(lq.query);
+
+  SpnConfig config;
+  config.min_instances = 256;
+  const SpnEstimator spn(table, config);
+  const size_t built_rows = table.num_rows();
+  ASSERT_EQ(spn.num_rows(), built_rows);
+  std::vector<double> single;
+  for (const auto& q : queries) single.push_back(spn.EstimateCard(q));
+  const std::vector<double> batched = spn.EstimateCards(queries);
+  ASSERT_TRUE(std::any_of(single.begin(), single.end(),
+                          [](double card) { return card > 0.0; }));
+  ASSERT_EQ(batched.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(batched[i], single[i]) << "query " << i;
+  }
+
+  util::Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const int32_t a = static_cast<int32_t>(rng.UniformInt(0, 63));
+    const std::vector<int32_t> codes = {a, a};
+    ASSERT_TRUE(table.AppendDeltaRowCodes(codes).ok());
+  }
+  ASSERT_EQ(table.num_rows(), built_rows + 1000);
+
+  EXPECT_EQ(spn.num_rows(), built_rows);
+  const auto clone = spn.CloneServable();
+  EXPECT_EQ(clone->num_rows(), built_rows);
+  const std::vector<double> batched_after = spn.EstimateCards(queries);
+  ASSERT_EQ(batched_after.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(spn.EstimateCard(queries[i]), single[i]) << "query " << i;
+    EXPECT_EQ(batched_after[i], batched[i]) << "query " << i;
+    EXPECT_EQ(clone->EstimateCard(queries[i]), single[i]) << "query " << i;
   }
 }
 
 TEST(SpnServableTest, FineTuneIsDeterministicAcrossThreadCounts) {
   SpnScenario& s = Shared();
-  auto base = std::make_shared<SpnServable>(s.table, s.StaleConfig());
+  auto base = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   core::FineTuneSpec spec;
   spec.query_steps = 200;
 
@@ -299,7 +343,7 @@ TEST(SpnServableTest, FineTuneIsDeterministicAcrossThreadCounts) {
 
 TEST(SpnServableTest, GuardRefusesWorseFineTunedCandidate) {
   SpnScenario& s = Shared();
-  auto incumbent = std::make_shared<SpnServable>(s.table, s.AccurateConfig());
+  auto incumbent = std::make_shared<SpnEstimator>(s.table, s.AccurateConfig());
 
   // Corrupt the labels: every query claims the full table matches. The
   // fine-tune dutifully inflates the candidate toward nonsense.
@@ -320,7 +364,7 @@ TEST(SpnServableTest, GuardRefusesWorseFineTunedCandidate) {
   EXPECT_GT(verdict.candidate_median, verdict.incumbent_median);
 
   // Sanity: a genuinely fine-tuned candidate from a stale incumbent passes.
-  auto stale = std::make_shared<SpnServable>(s.table, s.StaleConfig());
+  auto stale = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   auto good = stale->CloneServable();
   ASSERT_GT(good->FineTune(s.train, spec), 0u);
   EXPECT_TRUE(online::EvaluateCandidate(*stale, *good, s.test, 1.05).accept);
@@ -336,9 +380,9 @@ TEST(SpnServableTest, RouterPromotesSpnWhereItsShadowQErrorWins) {
   // on the correlated conjunctions below. Alt: the fine-grained SPN.
   auto histogram =
       std::make_shared<estimators::HistogramAviEstimator>(s.table, 8);
-  auto primary = std::make_shared<estimators::ServableEstimatorAdapter>(
+  auto primary = std::make_shared<fakes::ReadOnlyServable>(
       histogram, s.table.num_rows(), /*seed=*/3);
-  auto spn = std::make_shared<SpnServable>(s.table, s.AccurateConfig());
+  auto spn = std::make_shared<SpnEstimator>(s.table, s.AccurateConfig());
 
   router::RouterConfig rc;
   rc.knn.min_points = 1u << 20;  // Keep the kNN path out of this contest.
@@ -401,7 +445,7 @@ TEST(SpnServableTest, RouterPromotesSpnWhereItsShadowQErrorWins) {
 
 TEST(SpnServableTest, HotSwapUnderConcurrentClients) {
   SpnScenario& s = Shared();
-  auto stale = std::make_shared<SpnServable>(s.table, s.StaleConfig());
+  auto stale = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   auto tuned_model = stale->CloneServable();
   core::FineTuneSpec spec;
   spec.query_steps = 256;
@@ -441,7 +485,7 @@ TEST(SpnServableTest, HotSwapUnderConcurrentClients) {
 
 TEST(SpnServableTest, AdaptationControllerRoundTrip) {
   SpnScenario& s = Shared();
-  auto stale = std::make_shared<SpnServable>(s.table, s.StaleConfig());
+  auto stale = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   const double stale_median = MedianQError(*stale, s.test);
 
   serve::EstimationService service(stale);
@@ -487,15 +531,15 @@ TEST(SpnShardingTest, PerShardSpnsPruneRouteAndStayIsolated) {
   config.base_seed = 31;
   // Product-only shard SPNs: the two-predicate pinned feedback below is then
   // guaranteed to carry a truth/estimate gap, so fine-tuning must move bits.
-  SpnServableConfig spn_config;
-  spn_config.spn.corr_threshold = 2.0;
-  spn_config.spn.min_instances = 128;
+  SpnConfig spn_config;
+  spn_config.corr_threshold = 2.0;
+  spn_config.min_instances = 128;
 
   auto factory = [&](const data::Table& shard_table, int /*shard_id*/,
                      uint64_t shard_seed) -> std::shared_ptr<core::ServableModel> {
-    SpnServableConfig sc = spn_config;
-    sc.spn.seed = shard_seed;
-    return std::make_shared<SpnServable>(shard_table, sc);
+    SpnConfig sc = spn_config;
+    sc.seed = shard_seed;
+    return std::make_shared<SpnEstimator>(shard_table, sc);
   };
   shard::ShardedServable sharded(s.table, config, factory);
   ASSERT_EQ(sharded.num_shards(), 4);
