@@ -1,31 +1,28 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for bench_micro_nn output.
+"""Perf-regression gate for BENCH_*.json bench output.
 
-Compares a freshly produced BENCH_kernels.json against a committed baseline
-and exits non-zero when any benchmark regressed by more than --max-regress
-(default 25%).
+Compares a freshly produced BENCH_*.json against a committed baseline and
+exits non-zero when any gated entry's speedup_vs_ref fell more than 25%
+below the baseline's.
 
-Two metrics are supported:
-
-  raw    -- throughput (GFLOP/s when present, else 1/ns_per_op). Only
-            meaningful when baseline and current ran on the same machine.
-  ratio  -- speedup_vs_ref: the production kernel's throughput divided by the
-            retained reference kernel's, measured in the same process. This
-            is normalized by the machine, so it transfers across hosts and is
-            what CI gates on.
+speedup_vs_ref is a ratio of two quantities measured in the same process
+(production vs retained reference kernel, served vs direct throughput, stale
+vs adapted accuracy, ...). It is normalized by the machine, so it transfers
+across hosts. Entries without it are informational and never gated.
 
 Optionally --require-speedup NAME:MIN asserts an absolute speedup floor for
 one benchmark (repeatable), e.g. the acceptance bar
   --require-speedup gemm_accum/256x256x256:2.0
 
 Usage:
-  compare_bench.py BASELINE.json CURRENT.json [--metric=ratio|raw]
-                   [--max-regress=0.25] [--require-speedup NAME:MIN]...
+  compare_bench.py BASELINE.json CURRENT.json [--require-speedup NAME:MIN]...
 """
 
 import argparse
 import json
 import sys
+
+MAX_REGRESS = 0.25  # maximum tolerated fractional drop of speedup_vs_ref
 
 
 def load(path):
@@ -36,24 +33,11 @@ def load(path):
     return {b["name"]: b for b in doc["benchmarks"]}
 
 
-def metric_value(bench, metric):
-    """Returns the gated value for one benchmark, or None when not gateable."""
-    if metric == "ratio":
-        return bench.get("speedup_vs_ref")
-    if bench.get("gflops"):
-        return bench["gflops"]
-    ns = bench.get("ns_per_op")
-    return 1e9 / ns if ns else None
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument("--metric", choices=["ratio", "raw"], default="ratio")
-    ap.add_argument("--max-regress", type=float, default=0.25,
-                    help="maximum tolerated fractional drop (default 0.25)")
     ap.add_argument("--require-speedup", action="append", default=[],
                     metavar="NAME:MIN",
                     help="absolute speedup_vs_ref floor for one benchmark")
@@ -64,29 +48,27 @@ def main():
 
     failures = []
     compared = 0
-    unit = "x vs ref" if args.metric == "ratio" else ""
     print(f"{'benchmark':<40} {'baseline':>10} {'current':>10}  delta")
     for name, base in sorted(baseline.items()):
-        base_v = metric_value(base, args.metric)
+        base_v = base.get("speedup_vs_ref")
         if base_v is None:
-            continue  # e.g. end-to-end entries under --metric=ratio
+            continue  # informational entry
         cur = current.get(name)
         if cur is None:
             failures.append(f"{name}: present in baseline but missing from current run")
             continue
-        cur_v = metric_value(cur, args.metric)
+        cur_v = cur.get("speedup_vs_ref")
         if cur_v is None:
-            failures.append(f"{name}: no {args.metric} metric in current run")
+            failures.append(f"{name}: no speedup_vs_ref in current run")
             continue
         compared += 1
         delta = (cur_v - base_v) / base_v
         flag = ""
-        if cur_v < base_v * (1.0 - args.max_regress):
+        if cur_v < base_v * (1.0 - MAX_REGRESS):
             flag = "  << REGRESSION"
             failures.append(
-                f"{name}: {args.metric} fell {-delta:.1%} "
-                f"({base_v:.2f}{unit} -> {cur_v:.2f}{unit}), "
-                f"tolerance {args.max_regress:.0%}")
+                f"{name}: speedup_vs_ref fell {-delta:.1%} "
+                f"({base_v:.2f}x -> {cur_v:.2f}x), tolerance {MAX_REGRESS:.0%}")
         print(f"{name:<40} {base_v:>10.2f} {cur_v:>10.2f}  {delta:+7.1%}{flag}")
 
     for req in args.require_speedup:
@@ -116,8 +98,7 @@ def main():
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print(f"\nOK: {compared} benchmarks within {args.max_regress:.0%} of baseline "
-          f"({args.metric} metric)")
+    print(f"\nOK: {compared} benchmarks within {MAX_REGRESS:.0%} of baseline")
     return 0
 
 

@@ -26,7 +26,6 @@
 #include "optimizer/executor.h"
 #include "optimizer/subplan_memo.h"
 #include "serve/service.h"
-#include "util/json.h"
 
 namespace uae {
 namespace {
@@ -247,85 +246,46 @@ int Run(int argc, char** argv) {
   const double memo_ratio = geomean_ratio(log_cost_ratio_memo);
   serve::ServiceStats sstats = service.Stats();
 
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("titles", static_cast<int64_t>(titles));
-  w.Member("train", static_cast<int64_t>(train_n));
-  w.Member("test", static_cast<int64_t>(test_n));
-  w.Member("epochs", epochs);
-  w.Member("ps_samples", config.ps_samples);
-  w.Member("seed", static_cast<int64_t>(config.seed));
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
+  bench::Report report({{"titles", titles},
+                        {"train", train_n},
+                        {"test", test_n},
+                        {"epochs", epochs},
+                        {"ps_samples", config.ps_samples},
+                        {"seed", config.seed}});
   // Gated: chosen-plan cost ratio of the service-routed planner. The ratio is
   // learned/true >= 1 (lower better); speedup_vs_ref = 1/ratio so the gate's
   // higher-is-better convention applies. Deterministic per (seed, flags).
-  w.BeginObject();
-  w.Member("name", "joins/plan_cost_ratio");
-  w.Member("plan_cost_ratio", served_ratio);
-  w.Member("optimal_plan_fraction",
-           static_cast<double>(optimal_plans[kServed]) / nq);
-  w.Member("speedup_vs_ref", 1.0 / served_ratio);
-  w.EndObject();
+  report.Add("joins/plan_cost_ratio",
+             {{"plan_cost_ratio", served_ratio},
+              {"optimal_plan_fraction",
+               static_cast<double>(optimal_plans[kServed]) / nq},
+              {"speedup_vs_ref", 1.0 / served_ratio}});
   // Gated: same planner after the executed-plan feedback -> memo refresh.
-  w.BeginObject();
-  w.Member("name", "joins/plan_cost_ratio_memo");
-  w.Member("plan_cost_ratio", memo_ratio);
-  w.Member("optimal_plan_fraction", static_cast<double>(optimal_plans_memo) / nq);
-  w.Member("memo_observations", static_cast<int64_t>(folded));
-  w.Member("memo_entries", static_cast<int64_t>(memo.Size()));
-  w.Member("memo_hits", static_cast<int64_t>(memo_stats.memo_hits));
-  w.Member("speedup_vs_ref", 1.0 / memo_ratio);
-  w.EndObject();
+  report.Add("joins/plan_cost_ratio_memo",
+             {{"plan_cost_ratio", memo_ratio},
+              {"optimal_plan_fraction", static_cast<double>(optimal_plans_memo) / nq},
+              {"memo_observations", folded},
+              {"memo_entries", memo.Size()},
+              {"memo_hits", memo_stats.memo_hits},
+              {"speedup_vs_ref", 1.0 / memo_ratio}});
   // Informational: the non-served planners' plan quality, for context.
-  w.BeginObject();
-  w.Member("name", "joins/avi_plan_cost_ratio");
-  w.Member("plan_cost_ratio", geomean_ratio(log_cost_ratio[0]));
-  w.EndObject();
-  w.BeginObject();
-  w.Member("name", "joins/neurocard_plan_cost_ratio");
-  w.Member("plan_cost_ratio", geomean_ratio(log_cost_ratio[1]));
-  w.EndObject();
-  w.BeginObject();
-  w.Member("name", "joins/uae_direct_plan_cost_ratio");
-  w.Member("plan_cost_ratio", geomean_ratio(log_cost_ratio[2]));
-  w.EndObject();
+  report.Add("joins/avi_plan_cost_ratio",
+             {{"plan_cost_ratio", geomean_ratio(log_cost_ratio[0])}});
+  report.Add("joins/neurocard_plan_cost_ratio",
+             {{"plan_cost_ratio", geomean_ratio(log_cost_ratio[1])}});
+  report.Add("joins/uae_direct_plan_cost_ratio",
+             {{"plan_cost_ratio", geomean_ratio(log_cost_ratio[2])}});
   // Informational: how the serving stack was exercised.
-  w.BeginObject();
-  w.Member("name", "joins/serving");
-  w.Member("requests", static_cast<int64_t>(sstats.requests));
-  w.Member("cache_hits", static_cast<int64_t>(sstats.cache_hits));
-  w.Member("batches", static_cast<int64_t>(sstats.batches));
-  w.Member("batched_queries", static_cast<int64_t>(sstats.batched_queries));
-  w.Member("max_batch_observed",
-           static_cast<int64_t>(sstats.max_batch_observed));
-  w.EndObject();
+  report.Add("joins/serving", {{"requests", sstats.requests},
+                               {"cache_hits", sstats.cache_hits},
+                               {"batches", sstats.batches},
+                               {"batched_queries", sstats.batched_queries},
+                               {"max_batch_observed", sstats.max_batch_observed}});
   // Informational: executed wall time of the served planner's plans.
-  w.BeginObject();
-  w.Member("name", "joins/exec_seconds_served");
-  w.Member("ns_per_op", total_sec[kServed] * 1e9 / nq);
-  w.Member("seconds", total_sec[kServed]);
-  w.EndObject();
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(out_path.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s\n", out_path.c_str());
+  report.Add("joins/exec_seconds_served",
+             {{"ns_per_op", total_sec[kServed] * 1e9 / nq},
+              {"seconds", total_sec[kServed]}});
+  if (!report.Write(out_path)) return 1;
 
   // Non-zero exit when the feedback loop made plans worse: the bench doubles
   // as a smoke test in the nightly job.

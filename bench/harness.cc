@@ -1,7 +1,15 @@
 #include "bench/harness.h"
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <thread>
+#include <type_traits>
 
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -20,16 +28,33 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+namespace {
+
+/// Parses all of `v` as a T, or exits naming the flag.
+template <typename T>
+T ParseFlag(const std::string& key, const std::string& v) {
+  T out{};
+  const char* end = v.data() + v.size();
+  auto [p, ec] = std::from_chars(v.data(), end, out);
+  if (v.empty() || ec != std::errc() || p != end) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(), v.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+}  // namespace
+
 int64_t Flags::GetInt(const std::string& key, int64_t def) const {
   for (const auto& [k, v] : kv_) {
-    if (k == key) return std::stoll(v);
+    if (k == key) return ParseFlag<int64_t>(key, v);
   }
   return def;
 }
 
 double Flags::GetDouble(const std::string& key, double def) const {
   for (const auto& [k, v] : kv_) {
-    if (k == key) return std::stod(v);
+    if (k == key) return ParseFlag<double>(key, v);
   }
   return def;
 }
@@ -46,6 +71,100 @@ bool Flags::GetBool(const std::string& key, bool def) const {
     if (k == key) return v == "true" || v == "1";
   }
   return def;
+}
+
+const char* IsaTier() {
+#if defined(__AVX512F__)
+  return "avx512";
+#elif defined(__AVX2__)
+  return "avx2";
+#elif defined(__AVX__)
+  return "avx";
+#else
+  return "sse2";
+#endif
+}
+
+namespace {
+
+void WriteMembers(const ReportMembers& members, util::JsonWriter* w) {
+  for (const ReportMember& m : members) {
+    w->Key(m.key);
+    std::visit(
+        [w](const auto& v) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::vector<double>>) {
+            w->BeginArray();
+            for (double x : v) w->Value(x);
+            w->EndArray();
+          } else {
+            w->Value(v);
+          }
+        },
+        m.value.get());
+  }
+}
+
+}  // namespace
+
+void Report::Add(std::string name, ReportMembers members) {
+  entries_.emplace_back(std::move(name), std::move(members));
+}
+
+std::string Report::ToJson() const {
+  util::JsonWriter w;
+  w.BeginObject();
+  w.Member("schema_version", 1);
+  w.Key("config").BeginObject();
+  WriteMembers(config_, &w);
+  w.Member("isa", IsaTier());
+  w.Member("nproc", static_cast<int64_t>(std::thread::hardware_concurrency()));
+#ifdef NDEBUG
+  w.Member("optimized_build", true);
+#else
+  w.Member("optimized_build", false);
+#endif
+  w.EndObject();
+  w.Key("benchmarks").BeginArray();
+  for (const auto& [name, members] : entries_) {
+    w.BeginObject();
+    w.Member("name", name);
+    WriteMembers(members, &w);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return w.Finish() + "\n";
+}
+
+bool Report::Write(const std::string& path) const {
+  const std::string doc = ToJson();
+  std::FILE* fp = std::fopen(path.c_str(), "w");
+  if (fp == nullptr) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(), std::strerror(errno));
+    return false;
+  }
+  const bool written = std::fwrite(doc.data(), 1, doc.size(), fp) == doc.size();
+  // fclose flushes the buffered tail, so a full disk often shows up only here.
+  const bool closed = std::fclose(fp) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(), std::strerror(errno));
+    return false;
+  }
+  std::printf("wrote %s (%zu benchmarks)\n", path.c_str(), entries_.size());
+  return true;
+}
+
+QpsReps MeasureQps(int reps, double ops, const std::function<void()>& body,
+                   const std::function<void()>& setup) {
+  QpsReps out;
+  for (int rep = 0; rep < std::max(1, reps); ++rep) {
+    if (setup) setup();
+    util::Stopwatch timer;
+    body();
+    out.reps.push_back(ops / timer.ElapsedSeconds());
+    out.best = std::max(out.best, out.reps.back());
+  }
+  return out;
 }
 
 BenchConfig BenchConfig::FromFlags(const Flags& flags) {

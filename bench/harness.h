@@ -1,14 +1,18 @@
 // Shared bench harness: flag parsing, dataset construction, estimator
-// training, and table-formatted q-error reporting for the per-table/figure
-// reproduction binaries.
+// training, table-formatted q-error reporting for the per-table/figure
+// reproduction binaries, and the BENCH_*.json report plus the rep timer
+// every gated bench uses.
 //
 // Defaults are scaled for a 2-core CPU box (see DESIGN.md §2); every knob can
 // be raised via flags (--rows=, --train=, --epochs=, ...) to approach the
 // paper's full-scale setup.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/servable.h"
@@ -27,7 +31,9 @@
 
 namespace uae::bench {
 
-/// Minimal --key=value flag parser.
+/// Minimal --key=value flag parser. A numeric flag whose whole value does not
+/// parse (`--rows=abc`, `--rows=4e3`) prints `bad value for --<key>: '<v>'`
+/// and exits with status 2.
 class Flags {
  public:
   Flags(int argc, char** argv);
@@ -39,6 +45,72 @@ class Flags {
  private:
   std::vector<std::pair<std::string, std::string>> kv_;
 };
+
+/// One member value of a bench report: a number, an integer, a flag, a
+/// string or a list of numbers. Non-finite numbers are written as null.
+class ReportValue {
+ public:
+  ReportValue(double v) : v_(v) {}
+  ReportValue(int v) : v_(int64_t{v}) {}
+  ReportValue(int64_t v) : v_(v) {}
+  ReportValue(uint64_t v) : v_(static_cast<int64_t>(v)) {}
+  ReportValue(bool v) : v_(v) {}
+  ReportValue(const char* v) : v_(std::string(v)) {}
+  ReportValue(std::string v) : v_(std::move(v)) {}
+  ReportValue(std::vector<double> v) : v_(std::move(v)) {}
+
+  using Variant = std::variant<double, int64_t, bool, std::string, std::vector<double>>;
+  const Variant& get() const { return v_; }
+
+ private:
+  Variant v_;
+};
+
+struct ReportMember {
+  std::string key;
+  ReportValue value;
+};
+using ReportMembers = std::vector<ReportMember>;
+
+/// The ISA tier this binary was compiled for: avx512, avx2, avx or sse2.
+const char* IsaTier();
+
+/// A bench's BENCH_*.json document in the schema_version-1 format that
+/// bench/compare_bench.py reads:
+///   {"schema_version":1,
+///    "config":{<config members>,"isa":...,"nproc":...,"optimized_build":...},
+///    "benchmarks":[{"name":...,<entry members>},...]}
+/// Members keep their insertion order.
+class Report {
+ public:
+  explicit Report(ReportMembers config) : config_(std::move(config)) {}
+
+  void Add(std::string name, ReportMembers members);
+
+  std::string ToJson() const;
+
+  /// Writes the document to `path` and prints "wrote <path> (<n>
+  /// benchmarks)". On an open, write or close failure prints the reason to
+  /// stderr instead and returns false.
+  bool Write(const std::string& path) const;
+
+ private:
+  ReportMembers config_;
+  std::vector<std::pair<std::string, ReportMembers>> entries_;
+};
+
+/// Throughput of a repeated timed body: every rep's qps in run order, and
+/// the best (largest) of them.
+struct QpsReps {
+  double best = 0.0;
+  std::vector<double> reps;
+};
+
+/// Runs `body` `reps` times (at least once) and times each run; one run
+/// completes `ops` operations. `setup`, when set, runs untimed before each
+/// rep.
+QpsReps MeasureQps(int reps, double ops, const std::function<void()>& body,
+                   const std::function<void()>& setup = nullptr);
 
 /// Shared experiment configuration (defaults already CPU-scaled).
 struct BenchConfig {

@@ -48,7 +48,6 @@
 #include "nn/serialize.h"
 #include "serve/service.h"
 #include "shard/sharded_uae.h"
-#include "util/json.h"
 #include "util/quantiles.h"
 #include "util/stopwatch.h"
 #include "workload/executor.h"
@@ -311,68 +310,38 @@ int Run(int argc, char** argv) {
               stale_median, refreshed_median, improvement,
               static_cast<unsigned long long>(snap->generation));
 
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("rows", opt.rows);
-  w.Member("shards", opt.shards);
-  w.Member("churn", opt.churn);
-  w.Member("unseen", opt.unseen);
-  w.Member("base_epochs", opt.base_epochs);
-  w.Member("refresh_epochs", opt.refresh_epochs);
-  w.Member("test", opt.test);
-  w.Member("producers", opt.producers);
-  w.Member("clients", opt.clients);
-  w.Member("seed", static_cast<int64_t>(opt.seed));
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
+  Report report({{"rows", opt.rows},
+                 {"shards", opt.shards},
+                 {"churn", opt.churn},
+                 {"unseen", opt.unseen},
+                 {"base_epochs", opt.base_epochs},
+                 {"refresh_epochs", opt.refresh_epochs},
+                 {"test", opt.test},
+                 {"producers", opt.producers},
+                 {"clients", opt.clients},
+                 {"seed", opt.seed}});
   // Gated: accuracy win of the refreshed snapshot over the stale one on the
   // post-churn workload.
-  w.BeginObject();
-  w.Member("name", "ingest/churn_accuracy");
-  w.Member("stale_median_qerror", stale_median);
-  w.Member("refreshed_median_qerror", refreshed_median);
-  w.Member("refreshed_shards", static_cast<int64_t>(refresh.refreshed_shards.size()));
-  w.Member("tail_rows", static_cast<int64_t>(refresh.tail_rows));
-  w.Member("published_generation", static_cast<int64_t>(snap->generation));
-  w.Member("speedup_vs_ref", improvement);
-  w.EndObject();
+  report.Add("ingest/churn_accuracy",
+             {{"stale_median_qerror", stale_median},
+              {"refreshed_median_qerror", refreshed_median},
+              {"refreshed_shards", refresh.refreshed_shards.size()},
+              {"tail_rows", refresh.tail_rows},
+              {"published_generation", snap->generation},
+              {"speedup_vs_ref", improvement}});
   // Informational in the JSON (wall-clock throughput does not transfer
   // across machines); the binary enforces --min-rows-per-s itself.
-  w.BeginObject();
-  w.Member("name", "ingest/throughput");
-  w.Member("rows_per_s", rows_per_s);
-  w.Member("churn_rows", static_cast<int64_t>(total_churn));
-  w.Member("served_during_ingest", static_cast<int64_t>(served.load()));
-  w.Member("compactions", static_cast<int64_t>(ingest.stats().compactions));
-  w.Member("seconds", ingest_seconds);
-  w.EndObject();
+  report.Add("ingest/throughput",
+             {{"rows_per_s", rows_per_s},
+              {"churn_rows", total_churn},
+              {"served_during_ingest", served.load()},
+              {"compactions", ingest.stats().compactions},
+              {"seconds", ingest_seconds}});
   // Informational: what one incremental refresh costs end to end.
-  w.BeginObject();
-  w.Member("name", "ingest/refresh_latency");
-  w.Member("ns_per_op", refresh.seconds * 1e9);
-  w.Member("seconds", refresh.seconds);
-  w.Member("rows_ingested", static_cast<int64_t>(refresh.rows_ingested));
-  w.EndObject();
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s\n", opt.out.c_str());
+  report.Add("ingest/refresh_latency", {{"ns_per_op", refresh.seconds * 1e9},
+                                        {"seconds", refresh.seconds},
+                                        {"rows_ingested", refresh.rows_ingested}});
+  if (!report.Write(opt.out)) return 1;
 
   if (rows_per_s < opt.min_rows_per_s) {
     std::fprintf(stderr,

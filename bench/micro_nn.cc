@@ -31,7 +31,6 @@
 #include "data/synthetic.h"
 #include "nn/kernels.h"
 #include "nn/kernels_ref.h"
-#include "util/json.h"
 #include "util/stopwatch.h"
 #include "workload/generator.h"
 
@@ -43,15 +42,6 @@ struct Options {
   double min_time_s = 0.05;
   int reps = 3;
   std::string filter;
-};
-
-struct Result {
-  std::string name;
-  double ns_per_op = 0.0;
-  double gflops = 0.0;       // 0 when the entry has no flop count
-  double ref_ns_per_op = 0.0;  // 0 when there is no reference twin
-  double ref_gflops = 0.0;
-  double speedup_vs_ref = 0.0;
 };
 
 /// Grows the iteration count until one timed batch of `fn` runs for at least
@@ -120,7 +110,7 @@ Measurement Measure(const std::function<void()>& fn,
 
 class Suite {
  public:
-  explicit Suite(const Options& opt) : opt_(opt) {}
+  Suite(const Options& opt, Report* report) : opt_(opt), report_(report) {}
 
   bool Wanted(const std::string& name) const {
     return opt_.filter.empty() || name.find(opt_.filter) != std::string::npos;
@@ -131,43 +121,32 @@ class Suite {
                  const std::function<void()>& fn,
                  const std::function<void()>& ref_fn) {
     if (!Wanted(name)) return;
-    Result r;
-    r.name = name;
     Measurement m = Measure(fn, ref_fn, opt_);
-    r.ns_per_op = m.sec_per_op * 1e9;
-    if (flops_per_op > 0) r.gflops = flops_per_op / m.sec_per_op * 1e-9;
-    r.ref_ns_per_op = m.ref_sec_per_op * 1e9;
-    if (flops_per_op > 0) r.ref_gflops = flops_per_op / m.ref_sec_per_op * 1e-9;
-    r.speedup_vs_ref = m.speedup;
-    Report(r);
+    const double gflops = flops_per_op / m.sec_per_op * 1e-9;
+    const double ref_gflops = flops_per_op / m.ref_sec_per_op * 1e-9;
+    std::printf("%-36s %12.0f ns/op %8.2f GFLOP/s  (ref %8.2f, %.2fx)\n",
+                name.c_str(), m.sec_per_op * 1e9, gflops, ref_gflops, m.speedup);
+    std::fflush(stdout);
+    ReportMembers members = {{"ns_per_op", m.sec_per_op * 1e9}};
+    if (flops_per_op > 0) members.push_back({"gflops", gflops});
+    members.push_back({"ref_ns_per_op", m.ref_sec_per_op * 1e9});
+    if (flops_per_op > 0) members.push_back({"ref_gflops", ref_gflops});
+    members.push_back({"speedup_vs_ref", m.speedup});
+    report_->Add(name, std::move(members));
   }
 
   /// End-to-end benchmark: ns/op only.
   void AddEndToEnd(const std::string& name, const std::function<void()>& fn) {
     if (!Wanted(name)) return;
-    Result r;
-    r.name = name;
-    r.ns_per_op = Measure(fn, nullptr, opt_).sec_per_op * 1e9;
-    Report(r);
+    const double ns_per_op = Measure(fn, nullptr, opt_).sec_per_op * 1e9;
+    std::printf("%-36s %12.0f ns/op\n", name.c_str(), ns_per_op);
+    std::fflush(stdout);
+    report_->Add(name, {{"ns_per_op", ns_per_op}});
   }
-
-  const std::vector<Result>& results() const { return results_; }
 
  private:
-  void Report(const Result& r) {
-    if (r.ref_ns_per_op > 0) {
-      std::printf("%-36s %12.0f ns/op %8.2f GFLOP/s  (ref %8.2f, %.2fx)\n",
-                  r.name.c_str(), r.ns_per_op, r.gflops, r.ref_gflops,
-                  r.speedup_vs_ref);
-    } else {
-      std::printf("%-36s %12.0f ns/op\n", r.name.c_str(), r.ns_per_op);
-    }
-    std::fflush(stdout);
-    results_.push_back(r);
-  }
-
   Options opt_;
-  std::vector<Result> results_;
+  Report* report_;
 };
 
 std::string ShapeName(const char* kernel, int m, int k, int n) {
@@ -317,63 +296,16 @@ int Run(int argc, char** argv) {
   opt.reps = std::max(1, static_cast<int>(flags.GetInt("reps", opt.reps)));
   opt.filter = flags.GetString("filter", "");
 
-  Suite suite(opt);
+  Report report({{"min_time_s", opt.min_time_s},
+                 {"reps", opt.reps},
+                 {"gemm_row_tile", nn::kGemmRowTile},
+                 {"gemm_col_tile", nn::kGemmColTile},
+                 {"gemm_k_block", nn::kGemmKBlock}});
+  Suite suite(opt, &report);
   BenchGemms(&suite);
   BenchEpilogues(&suite);
   BenchEndToEnd(&suite);
-
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("min_time_s", opt.min_time_s);
-  w.Member("reps", opt.reps);
-  w.Member("gemm_row_tile", nn::kGemmRowTile);
-  w.Member("gemm_col_tile", nn::kGemmColTile);
-  w.Member("gemm_k_block", nn::kGemmKBlock);
-#if defined(__AVX512F__)
-  w.Member("isa", "avx512");
-#elif defined(__AVX2__)
-  w.Member("isa", "avx2");
-#elif defined(__AVX__)
-  w.Member("isa", "avx");
-#else
-  w.Member("isa", "sse2");
-#endif
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
-  for (const Result& r : suite.results()) {
-    w.BeginObject();
-    w.Member("name", r.name);
-    w.Member("ns_per_op", r.ns_per_op);
-    if (r.gflops > 0) w.Member("gflops", r.gflops);
-    if (r.ref_ns_per_op > 0) {
-      w.Member("ref_ns_per_op", r.ref_ns_per_op);
-      if (r.ref_gflops > 0) w.Member("ref_gflops", r.ref_gflops);
-      w.Member("speedup_vs_ref", r.speedup_vs_ref);
-    }
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s (%zu benchmarks)\n", opt.out.c_str(),
-              suite.results().size());
-  return 0;
+  return report.Write(opt.out) ? 0 : 1;
 }
 
 }  // namespace

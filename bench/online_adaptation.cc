@@ -36,7 +36,6 @@
 #include "online/drift.h"
 #include "online/feedback.h"
 #include "serve/service.h"
-#include "util/json.h"
 #include "util/quantiles.h"
 #include "util/stopwatch.h"
 #include "workload/executor.h"
@@ -175,51 +174,23 @@ int Run(int argc, char** argv) {
               stale_median, adapted_median, improvement,
               static_cast<unsigned long>(snap->generation));
 
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("rows", opt.rows);
-  w.Member("base_epochs", opt.base_epochs);
-  w.Member("warm_feedback", opt.warm_feedback);
-  w.Member("feedback", opt.feedback);
-  w.Member("finetune_steps", opt.finetune_steps);
-  w.Member("test", opt.test);
-  w.Member("seed", static_cast<int64_t>(opt.seed));
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
+  Report report({{"rows", opt.rows},
+                 {"base_epochs", opt.base_epochs},
+                 {"warm_feedback", opt.warm_feedback},
+                 {"feedback", opt.feedback},
+                 {"finetune_steps", opt.finetune_steps},
+                 {"test", opt.test},
+                 {"seed", opt.seed}});
   // Gated: accuracy win of the adapted snapshot over the stale one.
-  w.BeginObject();
-  w.Member("name", "online/adaptation");
-  w.Member("stale_median_qerror", stale_median);
-  w.Member("adapted_median_qerror", adapted_median);
-  w.Member("published_generation", static_cast<int64_t>(snap->generation));
-  w.Member("speedup_vs_ref", improvement);
-  w.EndObject();
+  report.Add("online/adaptation",
+             {{"stale_median_qerror", stale_median},
+              {"adapted_median_qerror", adapted_median},
+              {"published_generation", snap->generation},
+              {"speedup_vs_ref", improvement}});
   // Informational: what one adaptation costs end to end.
-  w.BeginObject();
-  w.Member("name", "online/adaptation_latency");
-  w.Member("ns_per_op", adapt_seconds * 1e9);
-  w.Member("seconds", adapt_seconds);
-  w.EndObject();
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s\n", opt.out.c_str());
+  report.Add("online/adaptation_latency",
+             {{"ns_per_op", adapt_seconds * 1e9}, {"seconds", adapt_seconds}});
+  if (!report.Write(opt.out)) return 1;
 
   // Non-zero exit when the loop failed to publish or to improve: the bench
   // doubles as a smoke test in the nightly job.

@@ -47,7 +47,6 @@
 #include "estimators/oracle.h"
 #include "online/feedback.h"
 #include "router/router.h"
-#include "util/json.h"
 #include "util/quantiles.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -125,13 +124,6 @@ SpikeOutcome ReplaySpike(const std::vector<const workload::Query*>& stream,
   out.median_qerr = util::Quantile(qerrs, 0.5);
   return out;
 }
-
-struct Result {
-  std::string name;
-  double ns_per_op = 0.0;
-  double qps = 0.0;
-  double speedup_vs_ref = 0.0;  ///< 0 when the entry is ungated.
-};
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -294,57 +286,24 @@ int Run(int argc, char** argv) {
     ++failures;
   }
 
-  std::vector<Result> results;
-  results.push_back({"router/uae_p99_spike", uae_best.p99_us * 1000.0,
-                     1e6 / std::max(1.0, uae_best.p99_us), 0.0});
-  results.push_back({"router/p99_degradation", router_best.p99_us * 1000.0,
-                     1e6 / std::max(1.0, router_best.p99_us),
-                     slo_us / std::max(1.0, router_best.p99_us)});
-  results.push_back({"router/qerr_ratio", qerr_ratio * 1000.0, 0.0, 0.0});
-
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("rows", opt.rows);
-  w.Member("ps_samples", opt.ps_samples);
-  w.Member("distinct", opt.distinct);
-  w.Member("burst", opt.burst);
-  w.Member("slo_mult", opt.slo_mult);
-  w.Member("overload", opt.overload);
-  w.Member("qerr_give_up", opt.qerr_give_up);
-  w.Member("reps", opt.reps);
-  w.Member("uae_median_us", uae_med_us);
-  w.Member("slo_us", slo_us);
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
-  for (const Result& r : results) {
-    w.BeginObject();
-    w.Member("name", r.name);
-    w.Member("ns_per_op", r.ns_per_op);
-    if (r.qps > 0) w.Member("qps", r.qps);
-    if (r.speedup_vs_ref > 0) w.Member("speedup_vs_ref", r.speedup_vs_ref);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s (%zu benchmarks)%s\n", opt.out.c_str(), results.size(),
-              failures > 0 ? " with FAILURES" : "");
+  Report report({{"rows", opt.rows},
+                 {"ps_samples", opt.ps_samples},
+                 {"distinct", opt.distinct},
+                 {"burst", opt.burst},
+                 {"slo_mult", opt.slo_mult},
+                 {"overload", opt.overload},
+                 {"qerr_give_up", opt.qerr_give_up},
+                 {"reps", opt.reps},
+                 {"uae_median_us", uae_med_us},
+                 {"slo_us", slo_us}});
+  report.Add("router/uae_p99_spike", {{"ns_per_op", uae_best.p99_us * 1000.0},
+                                      {"qps", 1e6 / std::max(1.0, uae_best.p99_us)}});
+  report.Add("router/p99_degradation",
+             {{"ns_per_op", router_best.p99_us * 1000.0},
+              {"qps", 1e6 / std::max(1.0, router_best.p99_us)},
+              {"speedup_vs_ref", slo_us / std::max(1.0, router_best.p99_us)}});
+  report.Add("router/qerr_ratio", {{"qerr_ratio", qerr_ratio}});
+  if (!report.Write(opt.out)) return 1;
   return failures > 0 ? 1 : 0;
 }
 

@@ -7,7 +7,9 @@
 // entry is `serve/service_Nt`: its `speedup_vs_ref` is service qps divided by
 // the direct-call qps measured in the same process, so the ratio transfers
 // across machines and bench/compare_bench.py can apply the usual >25%
-// regression rule plus the 2x acceptance floor.
+// regression rule plus the 2x acceptance floor. The gated entry and its
+// `serve/direct_Nt` reference also list every rep's qps as `qps_reps`, so the
+// run-to-run spread behind the best-over-best ratio is on record.
 //
 // Usage:
 //   bench_serve_throughput [--out=BENCH_serve.json] [--threads=8]
@@ -25,9 +27,7 @@
 #include "core/uae.h"
 #include "data/synthetic.h"
 #include "serve/service.h"
-#include "util/json.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "workload/generator.h"
 
 namespace uae::bench {
@@ -49,41 +49,32 @@ struct Options {
   int reps = 3;           ///< Timed repetitions; the best (max qps) is kept.
 };
 
-struct Result {
-  std::string name;
-  double ns_per_op = 0.0;
-  double qps = 0.0;
-  double speedup_vs_ref = 0.0;  ///< 0 when the entry is ungated.
-};
-
-/// Runs `client(t)` on `threads` OS threads and returns wall seconds.
-double TimeClients(int threads, const std::function<void(int)>& client) {
-  util::Stopwatch timer;
+/// Runs `client(t)` on `threads` OS threads and waits for all of them.
+void RunClients(int threads, const std::function<void(int)>& client) {
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) workers.emplace_back([&, t] { client(t); });
   for (auto& w : workers) w.join();
-  return timer.ElapsedSeconds();
 }
 
-/// Best-of-reps qps for one serving mode. `make_sink` builds the per-rep
-/// request sink (fresh service per rep so each rep starts cache-cold).
-double MeasureQps(const Options& opt,
-                  const std::vector<std::vector<const workload::Query*>>& streams,
-                  const std::function<std::function<void(const workload::Query&)>()>&
-                      make_sink) {
-  double best = 0.0;
-  for (int rep = 0; rep < opt.reps; ++rep) {
-    std::function<void(const workload::Query&)> sink = make_sink();
-    double seconds = TimeClients(opt.threads, [&](int t) {
-      for (const workload::Query* q : streams[static_cast<size_t>(t)]) {
-        sink(*q);
-      }
-    });
-    double total = static_cast<double>(opt.threads) * opt.per_thread;
-    best = std::max(best, total / seconds);
-  }
-  return best;
+/// Best-of-reps qps for one serving mode; the timed body is the whole
+/// multi-thread client loop. `make_sink` builds the per-rep request sink
+/// untimed (fresh service per rep so each rep starts cache-cold).
+QpsReps MeasureMode(const Options& opt,
+                    const std::vector<std::vector<const workload::Query*>>& streams,
+                    const std::function<std::function<void(const workload::Query&)>()>&
+                        make_sink) {
+  std::function<void(const workload::Query&)> sink;
+  return MeasureQps(
+      opt.reps, static_cast<double>(opt.threads) * opt.per_thread,
+      [&] {
+        RunClients(opt.threads, [&](int t) {
+          for (const workload::Query* q : streams[static_cast<size_t>(t)]) {
+            sink(*q);
+          }
+        });
+      },
+      [&] { sink = make_sink(); });
 }
 
 int Run(int argc, char** argv) {
@@ -136,79 +127,49 @@ int Run(int argc, char** argv) {
               opt.threads, opt.per_thread, opt.distinct, opt.zipf);
 
   // (a) Baseline: one-query-per-call EstimateCard straight on the model.
-  double direct_qps = MeasureQps(opt, streams, [&] {
+  const QpsReps direct_reps = MeasureMode(opt, streams, [&] {
     return [&](const workload::Query& q) { (void)model->EstimateCard(q); };
   });
+  const double direct_qps = direct_reps.best;
   std::printf("  direct          : %8.1f q/s\n", direct_qps);
 
   // (b) Micro-batching only (cache off) — isolates the coalescing effect.
-  double nocache_qps = MeasureQps(opt, streams, [&] {
+  const double nocache_qps = MeasureMode(opt, streams, [&] {
     serve::ServiceConfig cfg;
     cfg.cache_enabled = false;
     auto service = std::make_shared<serve::EstimationService>(model, cfg);
     return [service](const workload::Query& q) { (void)service->EstimateCard(q); };
-  });
+  }).best;
   std::printf("  service (nocache): %7.1f q/s  (%.2fx direct)\n", nocache_qps,
               nocache_qps / direct_qps);
 
   // (c) The full service: micro-batching + sharded generation-keyed cache.
-  double service_qps = MeasureQps(opt, streams, [&] {
+  const QpsReps service_reps = MeasureMode(opt, streams, [&] {
     auto service = std::make_shared<serve::EstimationService>(model);
     return [service](const workload::Query& q) { (void)service->EstimateCard(q); };
   });
+  const double service_qps = service_reps.best;
   std::printf("  service (cache) : %8.1f q/s  (%.2fx direct)\n", service_qps,
               service_qps / direct_qps);
 
-  std::vector<Result> results;
-  char name[64];
-  std::snprintf(name, sizeof(name), "serve/direct_%dt", opt.threads);
-  results.push_back({name, 1e9 / direct_qps, direct_qps, 0.0});
-  std::snprintf(name, sizeof(name), "serve/service_nocache_%dt", opt.threads);
-  results.push_back({name, 1e9 / nocache_qps, nocache_qps, 0.0});
-  std::snprintf(name, sizeof(name), "serve/service_%dt", opt.threads);
-  results.push_back({name, 1e9 / service_qps, service_qps,
-                     service_qps / direct_qps});
-
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("threads", opt.threads);
-  w.Member("per_thread", opt.per_thread);
-  w.Member("distinct", opt.distinct);
-  w.Member("zipf", opt.zipf);
-  w.Member("rows", opt.rows);
-  w.Member("ps_samples", opt.ps_samples);
-  w.Member("reps", opt.reps);
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
-  for (const Result& r : results) {
-    w.BeginObject();
-    w.Member("name", r.name);
-    w.Member("ns_per_op", r.ns_per_op);
-    w.Member("qps", r.qps);
-    if (r.speedup_vs_ref > 0) w.Member("speedup_vs_ref", r.speedup_vs_ref);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s (%zu benchmarks)\n", opt.out.c_str(), results.size());
-  return 0;
+  Report report({{"threads", opt.threads},
+                 {"per_thread", opt.per_thread},
+                 {"distinct", opt.distinct},
+                 {"zipf", opt.zipf},
+                 {"rows", opt.rows},
+                 {"ps_samples", opt.ps_samples},
+                 {"reps", opt.reps}});
+  const std::string threads = std::to_string(opt.threads);
+  report.Add("serve/direct_" + threads + "t", {{"ns_per_op", 1e9 / direct_qps},
+                                       {"qps", direct_qps},
+                                       {"qps_reps", direct_reps.reps}});
+  report.Add("serve/service_nocache_" + threads + "t",
+             {{"ns_per_op", 1e9 / nocache_qps}, {"qps", nocache_qps}});
+  report.Add("serve/service_" + threads + "t", {{"ns_per_op", 1e9 / service_qps},
+                                        {"qps", service_qps},
+                                        {"speedup_vs_ref", service_qps / direct_qps},
+                                        {"qps_reps", service_reps.reps}});
+  return report.Write(opt.out) ? 0 : 1;
 }
 
 }  // namespace

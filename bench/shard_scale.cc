@@ -1,10 +1,11 @@
 // Sharded-estimation scale benchmark: measures what horizontal partitioning
 // buys over the monolithic model on the same table.
 //
-//  * shard/train_parallel — wall-clock speedup of training N per-shard models
-//    (fanned across the global pool) vs one monolithic model, same epochs.
-//    Informational (ungated): on a 1-core host the ratio sits near 1x — the
-//    FLOPs are the same — and grows with cores.
+//  * shard/train_parallel — wall time (`seconds`) of training N per-shard
+//    models (fanned across the global pool); the config block carries the
+//    monolithic time and the speedup over it, same epochs. Informational
+//    (ungated): on a 1-core host the speedup sits near 1x — the FLOPs are the
+//    same — and grows with cores.
 //  * shard/prune_speedup — GATED: estimate throughput on a partition-targeted
 //    workload with shard pruning on vs off, same trained models. Pruning is a
 //    compute reduction (skip provably-disjoint shards), not parallelism, so
@@ -15,7 +16,10 @@
 // is visible next to the throughput (pruning removes the spurious mass
 // off-target shards would contribute, so it helps accuracy too).
 //
-// Emits BENCH_shard.json in the BENCH_kernels.json schema.
+// Emits BENCH_shard.json in the BENCH_kernels.json schema. The gated entry
+// and its `shard/unpruned_Ns` reference also list every rep's qps as
+// `qps_reps`, so the run-to-run spread behind the best-over-best ratio is on
+// record.
 //
 // Usage:
 //   bench_shard_scale [--out=BENCH_shard.json] [--rows=20000] [--shards=8]
@@ -30,7 +34,6 @@
 #include "core/uae.h"
 #include "data/synthetic.h"
 #include "shard/sharded_uae.h"
-#include "util/json.h"
 #include "util/quantiles.h"
 #include "util/stopwatch.h"
 #include "workload/executor.h"
@@ -53,13 +56,6 @@ struct Options {
   uint64_t seed = 5;
 };
 
-struct Result {
-  std::string name;
-  double ns_per_op = 0.0;
-  double qps = 0.0;
-  double speedup_vs_ref = 0.0;  ///< 0 when the entry is ungated.
-};
-
 double MedianQError(const std::vector<double>& est,
                     const std::vector<int64_t>& truth) {
   std::vector<double> errors;
@@ -68,19 +64,6 @@ double MedianQError(const std::vector<double>& est,
     errors.push_back(workload::QError(est[i], static_cast<double>(truth[i])));
   }
   return util::Quantile(std::move(errors), 0.5);
-}
-
-/// Best-of-reps throughput of one batched estimate path.
-double MeasureQps(int reps, size_t n_queries,
-                  const std::function<std::vector<double>()>& run) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    util::Stopwatch timer;
-    std::vector<double> out = run();
-    double seconds = timer.ElapsedSeconds();
-    best = std::max(best, static_cast<double>(n_queries) / seconds);
-  }
-  return best;
 }
 
 int Run(int argc, char** argv) {
@@ -142,14 +125,17 @@ int Run(int argc, char** argv) {
 
   // --- Estimate throughput: pruned vs full fan-out --------------------------
   sharded.set_prune(false);
+  const double n = static_cast<double>(queries.size());
   std::vector<double> unpruned_cards = sharded.EstimateCards(queries);
-  double unpruned_qps = MeasureQps(opt.reps, queries.size(),
-                                   [&] { return sharded.EstimateCards(queries); });
+  const QpsReps unpruned =
+      MeasureQps(opt.reps, n, [&] { (void)sharded.EstimateCards(queries); });
+  const double unpruned_qps = unpruned.best;
   sharded.set_prune(true);
   shard::ShardedUae::FanoutStats before = sharded.fanout_stats();
   std::vector<double> pruned_cards = sharded.EstimateCards(queries);
-  double pruned_qps = MeasureQps(opt.reps, queries.size(),
-                                 [&] { return sharded.EstimateCards(queries); });
+  const QpsReps pruned =
+      MeasureQps(opt.reps, n, [&] { (void)sharded.EstimateCards(queries); });
+  const double pruned_qps = pruned.best;
   std::vector<double> mono_cards = mono.EstimateCards(queries);
 
   shard::ShardedUae::FanoutStats fs = sharded.fanout_stats();
@@ -165,59 +151,28 @@ int Run(int argc, char** argv) {
               MedianQError(mono_cards, truths));
   std::printf("  avg pruned fan-out: %.2f of %d shards\n", fanout, opt.shards);
 
-  std::vector<Result> results;
-  char name[64];
-  // ns_per_op = the sharded (parallel) training wall time; the monolithic
-  // reference and the ratio live in the config block.
-  std::snprintf(name, sizeof(name), "shard/train_parallel_%ds", opt.shards);
-  results.push_back({name, shard_train_s * 1e9, 0.0, 0.0});
-  std::snprintf(name, sizeof(name), "shard/unpruned_%ds", opt.shards);
-  results.push_back({name, 1e9 / unpruned_qps, unpruned_qps, 0.0});
-  results.push_back({"shard/prune_speedup", 1e9 / pruned_qps, pruned_qps,
-                     pruned_qps / unpruned_qps});
-
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("rows", static_cast<int64_t>(opt.rows));
-  w.Member("shards", opt.shards);
-  w.Member("epochs", opt.epochs);
-  w.Member("queries", opt.queries);
-  w.Member("ps_samples", opt.ps_samples);
-  w.Member("hidden", opt.hidden);
-  w.Member("volume", opt.volume);
-  w.Member("reps", opt.reps);
-  w.Member("mono_train_s", mono_train_s);
-  w.Member("train_speedup", mono_train_s / shard_train_s);
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
-  for (const Result& r : results) {
-    w.BeginObject();
-    w.Member("name", r.name);
-    w.Member("ns_per_op", r.ns_per_op);
-    if (r.qps > 0) w.Member("qps", r.qps);
-    if (r.speedup_vs_ref > 0) w.Member("speedup_vs_ref", r.speedup_vs_ref);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s (%zu benchmarks)\n", opt.out.c_str(), results.size());
+  Report report({{"rows", opt.rows},
+                 {"shards", opt.shards},
+                 {"epochs", opt.epochs},
+                 {"queries", opt.queries},
+                 {"ps_samples", opt.ps_samples},
+                 {"hidden", opt.hidden},
+                 {"volume", opt.volume},
+                 {"reps", opt.reps},
+                 {"mono_train_s", mono_train_s},
+                 {"train_speedup", mono_train_s / shard_train_s}});
+  const std::string shards = std::to_string(opt.shards);
+  // The sharded (parallel) training wall time; the monolithic reference and
+  // the ratio live in the config block.
+  report.Add("shard/train_parallel_" + shards + "s", {{"seconds", shard_train_s}});
+  report.Add("shard/unpruned_" + shards + "s", {{"ns_per_op", 1e9 / unpruned_qps},
+                                         {"qps", unpruned_qps},
+                                         {"qps_reps", unpruned.reps}});
+  report.Add("shard/prune_speedup", {{"ns_per_op", 1e9 / pruned_qps},
+                                     {"qps", pruned_qps},
+                                     {"speedup_vs_ref", pruned_qps / unpruned_qps},
+                                     {"qps_reps", pruned.reps}});
+  if (!report.Write(opt.out)) return 1;
 
   // Smoke assertion: pruning must help on a partition-targeted workload —
   // the binary doubles as a nightly health check.

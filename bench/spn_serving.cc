@@ -48,7 +48,6 @@
 #include "data/table.h"
 #include "estimators/spn.h"
 #include "serve/service.h"
-#include "util/json.h"
 #include "util/quantiles.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -224,68 +223,36 @@ int Run(int argc, char** argv) {
               spn_ns, tuned_median, opt.uae_epochs, uae_train_seconds, uae_ns,
               uae_median);
 
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("rows", opt.rows);
-  w.Member("train", opt.train);
-  w.Member("test", opt.test);
-  w.Member("steps", opt.steps);
-  w.Member("uae_epochs", opt.uae_epochs);
-  w.Member("reps", opt.reps);
-  w.Member("seed", static_cast<int64_t>(opt.seed));
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
+  Report report({{"rows", opt.rows},
+                 {"train", opt.train},
+                 {"test", opt.test},
+                 {"steps", opt.steps},
+                 {"uae_epochs", opt.uae_epochs},
+                 {"reps", opt.reps},
+                 {"seed", opt.seed}});
   // Gated: accuracy win of the fine-tuned SPN over the stale one on the
   // held-out workload. Deterministic (single-threaded fine-tune, per-query
   // purity), so it is machine-independent.
-  w.BeginObject();
-  w.Member("name", "spn/finetune_accuracy");
-  w.Member("stale_median_qerror", stale_median);
-  w.Member("tuned_median_qerror", tuned_median);
-  w.Member("feedback_used", static_cast<int64_t>(used));
-  w.Member("published_generation", static_cast<int64_t>(res.generation));
-  w.Member("speedup_vs_ref", improvement);
-  w.EndObject();
+  report.Add("spn/finetune_accuracy",
+             {{"stale_median_qerror", stale_median},
+              {"tuned_median_qerror", tuned_median},
+              {"feedback_used", used},
+              {"published_generation", res.generation},
+              {"speedup_vs_ref", improvement}});
   // Informational: wall-clock does not transfer across machines, and the
   // two models get unmatched training budgets (see `budget_matched`).
-  w.BeginObject();
-  w.Member("name", "spn/latency_vs_uae");
-  w.Member("budget_matched", false);
-  w.Member("ns_per_op", spn_ns);
-  w.Member("uae_ns_per_op", uae_ns);
-  w.Member("spn_build_seconds", spn_build_seconds);
-  w.Member("finetune_seconds", tune_seconds);
-  w.Member("uae_train_seconds", uae_train_seconds);
-  w.EndObject();
+  report.Add("spn/latency_vs_uae", {{"budget_matched", false},
+                                    {"ns_per_op", spn_ns},
+                                    {"uae_ns_per_op", uae_ns},
+                                    {"spn_build_seconds", spn_build_seconds},
+                                    {"finetune_seconds", tune_seconds},
+                                    {"uae_train_seconds", uae_train_seconds}});
   // Informational: the UAE side moves with its training budget, which is
   // not matched to the SPN's.
-  w.BeginObject();
-  w.Member("name", "spn/accuracy_vs_uae");
-  w.Member("budget_matched", false);
-  w.Member("spn_median_qerror", tuned_median);
-  w.Member("uae_median_qerror", uae_median);
-  w.EndObject();
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s\n", opt.out.c_str());
-  return 0;
+  report.Add("spn/accuracy_vs_uae", {{"budget_matched", false},
+                                     {"spn_median_qerror", tuned_median},
+                                     {"uae_median_qerror", uae_median}});
+  return report.Write(opt.out) ? 0 : 1;
 }
 
 }  // namespace

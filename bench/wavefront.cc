@@ -28,6 +28,7 @@
 // the gated speedup comes from.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,11 +39,9 @@
 #include "core/wavefront.h"
 #include "data/imdb_star.h"
 #include "data/synthetic.h"
-#include "util/json.h"
 #include "util/mathutil.h"
 #include "util/quantiles.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "workload/generator.h"
 #include "workload/join_workload.h"
 
@@ -58,24 +57,9 @@ struct Options {
   int reps = 3;  ///< Timed repetitions; the median qps is kept.
 };
 
-struct Result {
-  std::string name;
-  double ns_per_op = 0.0;
-  double qps = 0.0;
-  double speedup_vs_ref = 0.0;  ///< 0 when the entry is ungated.
-};
-
 /// Median-of-reps qps for one estimation mode over `n` queries.
-template <typename Fn>
-double MeasureQps(int reps, int n, const Fn& run) {
-  std::vector<double> qps;
-  qps.reserve(static_cast<size_t>(reps));
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Stopwatch timer;
-    run();
-    qps.push_back(static_cast<double>(n) / timer.ElapsedSeconds());
-  }
-  return util::Quantile(qps, 0.5);
+double MedianQps(int reps, int n, const std::function<void()>& run) {
+  return util::Quantile(MeasureQps(reps, n, run).reps, 0.5);
 }
 
 int Run(int argc, char** argv) {
@@ -111,7 +95,7 @@ int Run(int argc, char** argv) {
 
   // (a) Reference: the per-query progressive sampler, one call per query.
   std::vector<double> per_query_cards(queries.size());
-  double legacy_qps = MeasureQps(opt.reps, opt.queries, [&] {
+  double legacy_qps = MedianQps(opt.reps, opt.queries, [&] {
     for (size_t i = 0; i < queries.size(); ++i) {
       per_query_cards[i] = uae.EstimateCard(queries[i]);
     }
@@ -120,7 +104,7 @@ int Run(int argc, char** argv) {
 
   // (b) Wavefront: the batched plane behind EstimateCards.
   std::vector<double> wave_cards;
-  double wave_qps = MeasureQps(opt.reps, opt.queries, [&] {
+  double wave_qps = MedianQps(opt.reps, opt.queries, [&] {
     wave_cards = uae.EstimateCards(queries);
   });
   std::printf("  wavefront       : %8.1f q/s  (%.2fx per-query)\n", wave_qps,
@@ -139,7 +123,7 @@ int Run(int argc, char** argv) {
 
   // (c) Quantized backend on the same wavefront (ungated: different numerics).
   core::QuantizedUae quant(uae);
-  double quant_qps = MeasureQps(opt.reps, opt.queries, [&] {
+  double quant_qps = MedianQps(opt.reps, opt.queries, [&] {
     (void)quant.EstimateCards(queries);
   });
   std::printf("  wavefront int8  : %8.1f q/s  (%.2fx per-query)\n", quant_qps,
@@ -152,16 +136,22 @@ int Run(int argc, char** argv) {
     targets.push_back(core::BuildTargets(q, table, uae.schema()));
   }
   auto backend = uae.FrozenBackend();
-  std::vector<Result> results;
-  char name[64];
-  std::snprintf(name, sizeof(name), "wavefront/per_query_s%d", opt.ps_samples);
-  results.push_back({name, 1e9 / legacy_qps, legacy_qps, 0.0});
-  std::snprintf(name, sizeof(name), "wavefront/estimate_throughput");
-  results.push_back({name, 1e9 / wave_qps, wave_qps, wave_qps / legacy_qps});
-  std::snprintf(name, sizeof(name), "wavefront/quantized_s%d", opt.ps_samples);
-  results.push_back({name, 1e9 / quant_qps, quant_qps, 0.0});
+  Report report({{"rows", opt.rows},
+                 {"queries", opt.queries},
+                 {"ps_samples", opt.ps_samples},
+                 {"wave_width", opt.wave_width},
+                 {"reps", opt.reps}});
+  auto add_qps = [&report](const std::string& name, double qps) {
+    report.Add(name, {{"ns_per_op", 1e9 / qps}, {"qps", qps}});
+  };
+  const std::string samples = std::to_string(opt.ps_samples);
+  add_qps("wavefront/per_query_s" + samples, legacy_qps);
+  report.Add("wavefront/estimate_throughput", {{"ns_per_op", 1e9 / wave_qps},
+                                               {"qps", wave_qps},
+                                               {"speedup_vs_ref", wave_qps / legacy_qps}});
+  add_qps("wavefront/quantized_s" + samples, quant_qps);
   for (int width : {1, 8, 32}) {
-    double width_qps = MeasureQps(opt.reps, opt.queries, [&] {
+    double width_qps = MedianQps(opt.reps, opt.queries, [&] {
       std::vector<util::Rng> rngs;
       rngs.reserve(queries.size());
       for (const auto& q : queries) {
@@ -174,8 +164,7 @@ int Run(int argc, char** argv) {
       (void)core::WavefrontSampleSelectivities(*backend, targets, rngs, wc);
     });
     std::printf("  width %-2d        : %8.1f q/s\n", width, width_qps);
-    std::snprintf(name, sizeof(name), "wavefront/width_%d", width);
-    results.push_back({name, 1e9 / width_qps, width_qps, 0.0});
+    add_qps("wavefront/width_" + std::to_string(width), width_qps);
   }
 
   // (e) Join sub-plans, as the optimizer asks for them: every sub-plan that
@@ -202,13 +191,13 @@ int Run(int argc, char** argv) {
   }
   const int num_subplans = static_cast<int>(subplans.size());
   std::vector<double> join_per_query(subplans.size());
-  const double join_legacy_qps = MeasureQps(opt.reps, num_subplans, [&] {
+  const double join_legacy_qps = MedianQps(opt.reps, num_subplans, [&] {
     for (size_t i = 0; i < subplans.size(); ++i) {
       join_per_query[i] = join_uae.EstimateJoinCard(subplans[i]);
     }
   });
   std::vector<double> join_wave;
-  const double join_wave_qps = MeasureQps(opt.reps, num_subplans, [&] {
+  const double join_wave_qps = MedianQps(opt.reps, num_subplans, [&] {
     join_wave = join_uae.EstimateJoinCards(subplans);
   });
   std::printf("  join per-query  : %8.1f q/s  (%d sub-plans)\n", join_legacy_qps,
@@ -223,49 +212,9 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  results.push_back({"wavefront/join_per_query", 1e9 / join_legacy_qps,
-                     join_legacy_qps, 0.0});
-  results.push_back({"wavefront/join_estimate_throughput", 1e9 / join_wave_qps,
-                     join_wave_qps, 0.0});
-
-  util::JsonWriter w;
-  w.BeginObject();
-  w.Member("schema_version", 1);
-  w.Key("config").BeginObject();
-  w.Member("rows", opt.rows);
-  w.Member("queries", opt.queries);
-  w.Member("ps_samples", opt.ps_samples);
-  w.Member("wave_width", opt.wave_width);
-  w.Member("reps", opt.reps);
-#ifdef NDEBUG
-  w.Member("optimized_build", true);
-#else
-  w.Member("optimized_build", false);
-#endif
-  w.EndObject();
-  w.Key("benchmarks").BeginArray();
-  for (const Result& r : results) {
-    w.BeginObject();
-    w.Member("name", r.name);
-    w.Member("ns_per_op", r.ns_per_op);
-    w.Member("qps", r.qps);
-    if (r.speedup_vs_ref > 0) w.Member("speedup_vs_ref", r.speedup_vs_ref);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
-  std::printf("wrote %s (%zu benchmarks)\n", opt.out.c_str(), results.size());
-  return 0;
+  add_qps("wavefront/join_per_query", join_legacy_qps);
+  add_qps("wavefront/join_estimate_throughput", join_wave_qps);
+  return report.Write(opt.out) ? 0 : 1;
 }
 
 }  // namespace

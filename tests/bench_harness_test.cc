@@ -1,11 +1,18 @@
-// bench/: the shared harness — flag parsing, dataset dispatch, and the
+// bench/: the shared harness — flag parsing, dataset dispatch, the
 // hoisted-workload evaluation path (prepare once, evaluate many estimator
-// rows).
+// rows), the BENCH_*.json report and the rep timer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -38,6 +45,22 @@ TEST(FlagsTest, IgnoresNonFlagArguments) {
   Flags flags(4, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("ok", 0), 1);
   EXPECT_EQ(flags.GetInt("positional", 3), 3);
+}
+
+TEST(FlagsTest, MalformedNumberExitsNamingTheFlag) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const char* argv[] = {"prog", "--rows=abc", "--lambda=4e3", "--threads=4e3",
+                        "--min-time=0.5x"};
+  Flags flags(5, const_cast<char**>(argv));
+  // Not a number at all: once an uncaught std::invalid_argument.
+  EXPECT_EXIT(flags.GetInt("rows", 0), ::testing::ExitedWithCode(2),
+              "bad value for --rows: 'abc'");
+  // A valid double is not a valid integer: once silently read as 4.
+  EXPECT_EXIT(flags.GetInt("threads", 0), ::testing::ExitedWithCode(2),
+              "bad value for --threads: '4e3'");
+  EXPECT_EXIT(flags.GetDouble("min-time", 0.0), ::testing::ExitedWithCode(2),
+              "bad value for --min-time: '0.5x'");
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lambda", 0.0), 4000.0);
 }
 
 TEST(BenchConfigTest, FromFlagsOverrides) {
@@ -201,6 +224,108 @@ TEST(EvaluateEstimatorTest, PreparedWorkloadIsReusedAcrossEstimatorRows) {
   // Evaluation does not rebuild or mutate the prepared workload.
   EXPECT_EQ(prep_in.queries.data(), queries_before);
   EXPECT_EQ(prep_in.queries.size(), f.in_workload.size());
+}
+
+std::string ConfigTail() {
+  std::string tail = std::string(R"(,"isa":")") + IsaTier() + R"(","nproc":)" +
+                     std::to_string(std::thread::hardware_concurrency());
+#ifdef NDEBUG
+  return tail + R"(,"optimized_build":true})";
+#else
+  return tail + R"(,"optimized_build":false})";
+#endif
+}
+
+Report GoldenReport() {
+  Report report({{"rows", 100}, {"zipf", 1.5}, {"dataset", "dmv"}});
+  report.Add("golden/gated", {{"ns_per_op", 2.5},
+                              {"qps", std::numeric_limits<double>::quiet_NaN()},
+                              {"speedup_vs_ref", 3.0}});
+  report.Add("golden/info", {{"count", int64_t{7}},
+                             {"budget_matched", false},
+                             {"qps_reps", std::vector<double>{1.0, 2.5}}});
+  return report;
+}
+
+TEST(ReportTest, GoldenSchemaVersionOneDocument) {
+  const std::string expect =
+      R"({"schema_version":1,"config":{"rows":100,"zipf":1.5,"dataset":"dmv")" +
+      ConfigTail() +
+      R"(,"benchmarks":[)"
+      R"({"name":"golden/gated","ns_per_op":2.5,"qps":null,"speedup_vs_ref":3},)"
+      R"({"name":"golden/info","count":7,"budget_matched":false,"qps_reps":[1,2.5]}]})"
+      "\n";
+  EXPECT_EQ(GoldenReport().ToJson(), expect);
+}
+
+TEST(ReportTest, WriteStoresTheDocumentAndReportsIt) {
+  const std::string path = ::testing::TempDir() + "bench_report_test.json";
+  const Report report = GoldenReport();
+  ::testing::internal::CaptureStdout();
+  const bool ok = report.Write(path);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(out, "wrote " + path + " (2 benchmarks)\n");
+  std::ifstream in(path);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, report.ToJson());
+  std::filesystem::remove(path);
+}
+
+TEST(ReportTest, UnwritablePathFailsWithoutWroteLine) {
+  const std::string path =
+      ::testing::TempDir() + "no-such-dir-for-bench-report/BENCH_x.json";
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const bool ok = GoldenReport().Write(path);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(out.find("wrote"), std::string::npos) << out;
+  EXPECT_NE(err.find("cannot write " + path), std::string::npos) << err;
+}
+
+TEST(ReportTest, FailedFlushOnCloseFailsWithoutWroteLine) {
+  // /dev/full accepts the open and the buffered fwrite, then fails the
+  // flush inside fclose with ENOSPC: a write error only the close reports.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const bool ok = GoldenReport().Write("/dev/full");
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(out.find("wrote"), std::string::npos) << out;
+  EXPECT_NE(err.find("cannot write /dev/full"), std::string::npos) << err;
+}
+
+TEST(MeasureQpsTest, ReturnsEveryRepAndTheBestIsTheirMaximum) {
+  using std::chrono::milliseconds;
+  int setups = 0;
+  int runs = 0;
+  const QpsReps qps = MeasureQps(
+      4, 1000.0,
+      [&] {
+        ++runs;
+        std::this_thread::sleep_for(milliseconds(runs));
+      },
+      [&] {
+        ++setups;
+        std::this_thread::sleep_for(milliseconds(100));
+      });
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(setups, 4);
+  ASSERT_EQ(qps.reps.size(), 4u);
+  EXPECT_EQ(qps.best, *std::max_element(qps.reps.begin(), qps.reps.end()));
+  for (double q : qps.reps) {
+    // 1000 ops over a body of at most 4 ms sleep; a timed 100 ms setup would
+    // cap every rep below 1e4 q/s.
+    EXPECT_GT(q, 2e4);
+  }
+
+  // At least one rep, whatever the count asked for.
+  EXPECT_EQ(MeasureQps(0, 1.0, [] {}).reps.size(), 1u);
 }
 
 }  // namespace
