@@ -66,13 +66,6 @@ std::string Flags::GetString(const std::string& key, const std::string& def) con
   return def;
 }
 
-bool Flags::GetBool(const std::string& key, bool def) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) return v == "true" || v == "1";
-  }
-  return def;
-}
-
 const char* IsaTier() {
 #if defined(__AVX512F__)
   return "avx512";

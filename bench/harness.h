@@ -40,7 +40,6 @@ class Flags {
   int64_t GetInt(const std::string& key, int64_t def) const;
   double GetDouble(const std::string& key, double def) const;
   std::string GetString(const std::string& key, const std::string& def) const;
-  bool GetBool(const std::string& key, bool def) const;
 
  private:
   std::vector<std::pair<std::string, std::string>> kv_;

@@ -1,9 +1,9 @@
 // Quantized serving snapshots: an int8 inference plane (per-output-channel
 // symmetric weight scales, fp32 accumulate) over a frozen UAE, wrapped as a
 // ServableModel so it publishes through serve::SnapshotSlot/EstimationService
-// like any generation. Quantization perturbs estimates, so candidates must be
-// parity-gated against their fp32 source before serving — see
-// serve::PublishQuantizedSnapshot, which reuses the online guard machinery.
+// like any generation. Quantization perturbs estimates, so a candidate is
+// published through serve::GuardedPublish against its fp32 source — the same
+// holdout guard every other publisher uses.
 #pragma once
 
 #include <memory>

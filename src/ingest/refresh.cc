@@ -1,9 +1,9 @@
 #include "ingest/refresh.h"
 
 #include <algorithm>
-#include <chrono>
 
-#include "online/controller.h"
+#include "serve/guard.h"
+#include "util/stopwatch.h"
 
 namespace uae::ingest {
 
@@ -28,12 +28,12 @@ RefreshController::RefreshController(
       service_(service),
       config_(config),
       monitor_(ingest, config.staleness),
-      base_(std::move(base)) {
+      base_(std::move(base)),
+      poller_(std::chrono::milliseconds(config.period_ms),
+              [this] { RefreshIfStale(); }) {
   UAE_CHECK(ingest_ != nullptr && service_ != nullptr && base_ != nullptr);
   UAE_CHECK_EQ(base_->num_shards(), ingest_->num_shards());
 }
-
-RefreshController::~RefreshController() { Stop(); }
 
 std::shared_ptr<const shard::ShardedUae> RefreshController::current_base() const {
   std::lock_guard<std::mutex> lock(base_mu_);
@@ -46,47 +46,43 @@ RefreshStats RefreshController::Stats() const {
 }
 
 RefreshResult RefreshController::RefreshIfStale() {
-  std::unique_lock<std::mutex> busy(busy_mu_, std::try_to_lock);
-  if (!busy.owns_lock()) {
-    RefreshResult result;
-    result.outcome = RefreshOutcome::kSkippedBusy;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.skipped;
-    return result;
-  }
-  return RunRefresh(monitor_.StaleShards(), std::move(busy));
+  return RunRefresh([this] { return monitor_.StaleShards(); });
 }
 
 RefreshResult RefreshController::RefreshShards(std::vector<int> shards) {
-  std::unique_lock<std::mutex> busy(busy_mu_, std::try_to_lock);
-  if (!busy.owns_lock()) {
-    RefreshResult result;
-    result.outcome = RefreshOutcome::kSkippedBusy;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.skipped;
-    return result;
+  const int n = ingest_->num_shards();
+  for (int s : shards) {
+    UAE_CHECK(s >= 0 && s < n)
+        << "RefreshShards: shard id " << s << " outside [0, " << n << ")";
   }
-  if (shards.empty()) {
-    for (int s = 0; s < ingest_->num_shards(); ++s) {
-      if (ingest_->shard_buffer(s).rows_since_refresh() > 0) {
-        shards.push_back(s);
+  return RunRefresh([&] {
+    if (shards.empty()) {
+      for (int s = 0; s < n; ++s) {
+        if (ingest_->shard_buffer(s).rows_since_refresh() > 0) {
+          shards.push_back(s);
+        }
       }
     }
-  }
-  return RunRefresh(std::move(shards), std::move(busy));
+    return shards;
+  });
 }
 
-RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
-                                            std::unique_lock<std::mutex> busy) {
+RefreshResult RefreshController::RunRefresh(
+    const std::function<std::vector<int>()>& select) {
   RefreshResult result;
+  std::unique_lock<std::mutex> busy(busy_mu_, std::try_to_lock);
+  std::vector<int> shards;
+  if (busy.owns_lock()) shards = select();
   if (shards.empty()) {
-    result.outcome = RefreshOutcome::kSkippedNoStaleShards;
+    result.outcome = busy.owns_lock() ? RefreshOutcome::kSkippedNoStaleShards
+                                      : RefreshOutcome::kSkippedBusy;
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.skipped;
     return result;
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  util::Stopwatch timer;
   std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
 
   const int n = ingest_->num_shards();
   std::vector<uint8_t> refresh_set(static_cast<size_t>(n), 0);
@@ -143,73 +139,43 @@ RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
     ++stats_.attempts;
   }
 
-  if (config_.guard_max_ratio > 0 && config_.holdout_provider) {
-    const workload::Workload holdout = config_.holdout_provider();
-    auto incumbent = service_->CurrentSnapshot();
-    const online::GuardVerdict verdict = online::EvaluateCandidate(
-        *incumbent->model, *servable, holdout, config_.guard_max_ratio);
+  bool accepted = true;
+  if (config_.holdout_provider) {
+    const auto incumbent = service_->CurrentSnapshot();
+    const serve::GuardVerdict verdict = serve::GuardedPublish(
+        service_, *incumbent->model, servable, config_.holdout_provider(),
+        config_.guard_max_ratio);
+    accepted = verdict.accept;
+    result.generation = verdict.generation;
     result.incumbent_median = verdict.incumbent_median;
     result.candidate_median = verdict.candidate_median;
-    if (!verdict.accept) {
-      result.outcome = RefreshOutcome::kRejectedByGuard;
-      result.seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected;
-      return result;
+  } else {
+    result.generation = service_->PublishSnapshot(servable);
+  }
+  // A refusal leaves the watermarks armed, so the next cycle retries with
+  // more data.
+  if (accepted) {
+    for (int s : shards) {
+      // Safe concurrently with the apply thread: MarkRefreshed only advances
+      // the cut this cycle snapshotted.
+      ingest_->mutable_shard_buffer(s).MarkRefreshed(
+          cuts[static_cast<size_t>(s)]);
     }
-  }
-
-  result.generation = service_->PublishSnapshot(servable);
-  for (int s : shards) {
-    // Safe concurrently with the apply thread: MarkRefreshed only advances
-    // the cut this cycle snapshotted.
-    ingest_->mutable_shard_buffer(s).MarkRefreshed(cuts[static_cast<size_t>(s)]);
-  }
-  {
     std::lock_guard<std::mutex> lock(base_mu_);
     base_ = refreshed;
   }
-  result.outcome = RefreshOutcome::kPublished;
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.outcome =
+      accepted ? RefreshOutcome::kPublished : RefreshOutcome::kRejectedByGuard;
+  result.seconds = timer.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(stats_mu_);
+  if (!accepted) {
+    ++stats_.rejected;
+    return result;
+  }
   ++stats_.published;
   stats_.rows_ingested += result.rows_ingested;
   stats_.last_published_generation = result.generation;
   return result;
-}
-
-void RefreshController::Start() {
-  if (thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { PollLoop(); });
-}
-
-void RefreshController::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = true;
-  }
-  poll_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void RefreshController::PollLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(poll_mu_);
-      poll_cv_.wait_for(lock, std::chrono::milliseconds(config_.period_ms),
-                        [this] { return stop_; });
-      if (stop_) return;
-    }
-    RefreshIfStale();
-  }
 }
 
 }  // namespace uae::ingest

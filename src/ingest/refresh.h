@@ -2,9 +2,9 @@
 // twin of online::AdaptationController. Where the adaptation loop reacts to
 // what MIS-ESTIMATED (query feedback), this loop reacts to what ARRIVED
 // (per-shard delta buffers), and reuses the same safety rails: a busy
-// try-lock (max one refresh in flight), an optional held-out regression
-// guard (online::EvaluateCandidate), and publication through the
-// generation-keyed snapshot path.
+// try-lock (max one refresh in flight), the held-out regression guard
+// (serve::GuardedPublish, on whenever a holdout provider is configured), and
+// publication through the generation-keyed snapshot path.
 //
 // One refresh cycle:
 //   1. StalenessMonitor flags the drifted shards (rows / ratio / unseen
@@ -22,22 +22,22 @@
 //      shard::ShardedServable: only the UAE backend implements per-shard
 //      data ingest.
 //   4. Wrap with ingest::DeltaAwareModel when the tail is non-empty (unseen
-//      values answer exactly), guard if configured, PublishSnapshot, and
-//      advance the refreshed shards' buffer watermarks.
+//      values answer exactly), publish (through serve::GuardedPublish when a
+//      holdout provider is set), and advance the refreshed shards' buffer
+//      watermarks.
 //
 // Lineage: the controller owns the typed model chain (base -> refreshed ->
 // refreshed ...). Query-feedback fine-tunes published in between by an
 // AdaptationController are superseded by the next data refresh, which clones
 // from this chain — the two loops coexist, data refresh being the anchor.
+//
+// Start()/Stop() run RefreshIfStale() on a util::PeriodicWorker.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "ingest/delta_model.h"
@@ -45,6 +45,7 @@
 #include "ingest/staleness.h"
 #include "serve/service.h"
 #include "shard/sharded_uae.h"
+#include "util/periodic_worker.h"
 
 namespace uae::ingest {
 
@@ -53,13 +54,14 @@ struct RefreshConfig {
   /// Unsupervised epochs over each stale shard's new rows (§4.5: a few small
   /// epochs on the delta suffice).
   int data_epochs = 2;
-  /// > 0 enables the regression guard: the candidate must keep
+  /// Regression-guard bound: the candidate must keep
   ///   median q-error <= incumbent's * guard_max_ratio
-  /// on the holdout workload, or the refresh is rejected (watermarks stay,
-  /// so the next cycle retries with more data).
-  double guard_max_ratio = 0.0;
-  /// Supplies the held-out workload when the guard is enabled (e.g. freshly
-  /// labeled queries over the live table).
+  /// on the holdout workload (and answer it with finite estimates), or the
+  /// refresh is rejected (watermarks stay, so the next cycle retries with
+  /// more data). Same meaning as AdaptationConfig::guard_max_ratio.
+  double guard_max_ratio = 1.0;
+  /// Supplies the held-out workload (e.g. freshly labeled queries over the
+  /// live table). The guard runs if and only if this is set.
   std::function<workload::Workload()> holdout_provider;
   uint64_t period_ms = 100;  ///< Background staleness-poll period.
 };
@@ -101,19 +103,19 @@ class RefreshController {
   RefreshController(IngestService* ingest, serve::EstimationService* service,
                     std::shared_ptr<const shard::ShardedUae> base,
                     const RefreshConfig& config = {});
-  ~RefreshController();
   UAE_DISALLOW_COPY(RefreshController);
 
   /// Refreshes the stale shards, if any (synchronous building block).
   RefreshResult RefreshIfStale();
   /// Refreshes an explicit shard set regardless of staleness (empty = all
-  /// shards with pending rows). Still subject to the busy lock and guard.
+  /// shards with pending rows; duplicates count once). Still subject to the
+  /// busy lock and guard. Every id must lie in [0, num_shards()).
   RefreshResult RefreshShards(std::vector<int> shards);
 
   /// Autonomous mode: polls RefreshIfStale() every period_ms until Stop().
-  void Start();
-  void Stop();
-  bool running() const { return thread_.joinable(); }
+  void Start() { poller_.Start(); }
+  void Stop() { poller_.Stop(); }
+  bool running() const { return poller_.running(); }
 
   const StalenessMonitor& monitor() const { return monitor_; }
   /// Head of the typed lineage (latest refreshed model).
@@ -122,9 +124,9 @@ class RefreshController {
   const RefreshConfig& config() const { return config_; }
 
  private:
-  RefreshResult RunRefresh(std::vector<int> shards,
-                           std::unique_lock<std::mutex> busy);
-  void PollLoop();
+  /// Takes the busy lock (or reports kSkippedBusy), then refreshes the
+  /// shards `select` names under it.
+  RefreshResult RunRefresh(const std::function<std::vector<int>()>& select);
 
   IngestService* ingest_;
   serve::EstimationService* service_;
@@ -138,10 +140,8 @@ class RefreshController {
   mutable std::mutex stats_mu_;
   RefreshStats stats_;
 
-  std::thread thread_;
-  std::mutex poll_mu_;
-  std::condition_variable poll_cv_;
-  bool stop_ = false;
+  /// Last member: destroyed, and so stopped, before anything its ticks use.
+  util::PeriodicWorker poller_;
 };
 
 }  // namespace uae::ingest

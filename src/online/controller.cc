@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/quantiles.h"
+#include "serve/guard.h"
 #include "util/stopwatch.h"
 #include "workload/metrics.h"
 
@@ -31,41 +31,20 @@ const char* AdaptOutcomeName(AdaptOutcome outcome) {
   return "?";
 }
 
-GuardVerdict EvaluateCandidate(const core::ServableModel& incumbent,
-                               const core::ServableModel& candidate,
-                               const workload::Workload& holdout,
-                               double guard_max_ratio) {
-  GuardVerdict verdict;
-  if (holdout.empty()) return verdict;  // Nothing proven => no swap.
-  std::vector<double> incumbent_errors = workload::EvaluateQErrorsBatched(
-      holdout, [&](std::span<const workload::Query> qs) {
-        return incumbent.EstimateCards(qs);
-      });
-  std::vector<double> candidate_errors = workload::EvaluateQErrorsBatched(
-      holdout, [&](std::span<const workload::Query> qs) {
-        return candidate.EstimateCards(qs);
-      });
-  verdict.incumbent_median = util::Quantile(std::move(incumbent_errors), 0.5);
-  verdict.candidate_median = util::Quantile(std::move(candidate_errors), 0.5);
-  verdict.accept =
-      verdict.candidate_median <= verdict.incumbent_median * guard_max_ratio;
-  return verdict;
-}
-
 AdaptationController::AdaptationController(serve::EstimationService* service,
                                            FeedbackCollector* collector,
                                            DriftMonitor* monitor,
                                            const AdaptationConfig& config)
     : service_(service), collector_(collector), monitor_(monitor),
-      config_(config) {
+      config_(config),
+      poller_(std::chrono::milliseconds(config.period_ms),
+              [this] { AdaptIfDrifted(); }) {
   UAE_CHECK(service_ != nullptr);
   UAE_CHECK(collector_ != nullptr);
   UAE_CHECK(monitor_ != nullptr);
   UAE_CHECK_GE(config_.holdout_fraction, 0.0);
   UAE_CHECK_LE(config_.holdout_fraction, 1.0);
 }
-
-AdaptationController::~AdaptationController() { Stop(); }
 
 void AdaptationController::OnFeedback(const workload::Query& query,
                                       const serve::ServeResult& served,
@@ -164,34 +143,26 @@ AdaptationResult AdaptationController::RunAdaptation(
   // A non-empty slice that trained on nothing (all feedback unroutable for
   // this model kind) leaves the candidate bit-identical: publishing would
   // bump the generation and flush the result cache without repairing
-  // anything. Skip; the drained feedback goes back like a guard rejection.
+  // anything. Skip it.
   if (!train.empty() && result.finetuned_size == 0) {
     result.outcome = AdaptOutcome::kSkippedUnusableFeedback;
-    if (config_.drain_on_adapt) {
-      for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
-    }
-    result.seconds = timer.ElapsedSeconds();
-    RecordOutcome(result);
-    adapt_lock.unlock();
-    return result;
-  }
-
-  GuardVerdict verdict = EvaluateCandidate(*snap->model, *candidate, holdout,
-                                           config_.guard_max_ratio);
-  result.incumbent_median = verdict.incumbent_median;
-  result.candidate_median = verdict.candidate_median;
-  if (verdict.accept) {
-    result.generation = service_->PublishSnapshot(std::move(candidate));
-    result.outcome = AdaptOutcome::kPublished;
   } else {
-    result.outcome = AdaptOutcome::kRejectedByGuard;
-    // The labels were expensive (one exact scan each) and the drift is still
-    // unresolved: put drained feedback back so the next attempt does not have
-    // to re-accumulate from zero. Entries re-enter through the retention
-    // policy, mixing with whatever arrived during the fine-tune.
-    if (config_.drain_on_adapt) {
-      for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
-    }
+    const serve::GuardVerdict verdict =
+        serve::GuardedPublish(service_, *snap->model, std::move(candidate),
+                              holdout, config_.guard_max_ratio);
+    result.generation = verdict.generation;
+    result.incumbent_median = verdict.incumbent_median;
+    result.candidate_median = verdict.candidate_median;
+    result.outcome = verdict.accept ? AdaptOutcome::kPublished
+                                    : AdaptOutcome::kRejectedByGuard;
+  }
+  // Unless a candidate was published, the labels were expensive (one exact
+  // scan each) and the drift is still unresolved: put drained feedback back
+  // so the next attempt does not have to re-accumulate from zero. Entries
+  // re-enter through the retention policy, mixing with whatever arrived
+  // during the fine-tune.
+  if (result.outcome != AdaptOutcome::kPublished && config_.drain_on_adapt) {
+    for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
   }
   result.seconds = timer.ElapsedSeconds();
   RecordOutcome(result);
@@ -218,35 +189,6 @@ void AdaptationController::RecordOutcome(const AdaptationResult& result) {
 AdaptationStats AdaptationController::Stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
-}
-
-void AdaptationController::Start() {
-  if (thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { PollLoop(); });
-}
-
-void AdaptationController::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = true;
-  }
-  poll_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void AdaptationController::PollLoop() {
-  std::unique_lock<std::mutex> lock(poll_mu_);
-  while (!stop_) {
-    poll_cv_.wait_for(lock, std::chrono::milliseconds(config_.period_ms));
-    if (stop_) break;
-    lock.unlock();
-    AdaptIfDrifted();
-    lock.lock();
-  }
 }
 
 }  // namespace uae::online

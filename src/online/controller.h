@@ -11,10 +11,12 @@
 // the candidate through EstimationService::PublishSnapshot.
 //
 // Safety rails:
-//   * regression guard — the candidate is evaluated against the incumbent on
-//     the held-out feedback slice; a candidate whose median q-error is worse
-//     (beyond `guard_max_ratio`) is rejected, so a bad fine-tune can never
-//     dethrone a healthy model;
+//   * regression guard — the candidate is published through
+//     serve::GuardedPublish against the snapshot it was cloned from, on the
+//     held-out feedback slice; a candidate whose median q-error is worse
+//     (beyond `guard_max_ratio`), or that answers any held-out query with a
+//     non-finite estimate, is rejected, so a bad fine-tune can never dethrone
+//     a healthy model;
 //   * max-concurrent-finetune = 1 — a try-lock serializes adaptations; a
 //     second trigger while one is in flight is skipped, not queued;
 //   * cooldown — a minimum number of fresh feedback observations between
@@ -22,23 +24,21 @@
 //   * stale-signal suppression — a drift report describing a generation that
 //     is no longer the served one is ignored.
 //
-// Start()/Stop() run the trigger poll on a background thread (the autonomous
-// mode); AdaptIfDrifted()/AdaptNow() are the synchronous building blocks and
-// are what deterministic tests drive directly.
+// Start()/Stop() run AdaptIfDrifted() on a util::PeriodicWorker (the
+// autonomous mode); AdaptIfDrifted()/AdaptNow() are the synchronous building
+// blocks and are what deterministic tests drive directly.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "core/servable.h"
 #include "online/drift.h"
 #include "online/feedback.h"
 #include "serve/service.h"
+#include "util/periodic_worker.h"
 
 namespace uae::online {
 
@@ -108,27 +108,12 @@ struct AdaptationStats {
   uint64_t last_published_generation = 0;
 };
 
-/// The regression guard, standalone and testable: batched-evaluates both
-/// models on the held-out slice and accepts the candidate iff
-///   candidate_median <= incumbent_median * guard_max_ratio.
-/// An empty holdout rejects (nothing proven means no swap).
-struct GuardVerdict {
-  bool accept = false;
-  double incumbent_median = 0.0;
-  double candidate_median = 0.0;
-};
-GuardVerdict EvaluateCandidate(const core::ServableModel& incumbent,
-                               const core::ServableModel& candidate,
-                               const workload::Workload& holdout,
-                               double guard_max_ratio);
-
 class AdaptationController {
  public:
-  /// All dependencies outlive the controller; it owns only its poll thread.
+  /// All dependencies outlive the controller; it owns only its poll worker.
   AdaptationController(serve::EstimationService* service,
                        FeedbackCollector* collector, DriftMonitor* monitor,
                        const AdaptationConfig& config = {});
-  ~AdaptationController();
   UAE_DISALLOW_COPY(AdaptationController);
 
   /// Feedback entry point: records the ground truth observed for a served
@@ -144,11 +129,11 @@ class AdaptationController {
   /// busy try-lock, and the regression guard).
   AdaptationResult AdaptNow();
 
-  /// Autonomous mode: polls AdaptIfDrifted() every `period_ms` on a
-  /// background thread until Stop() (idempotent; the destructor stops too).
-  void Start();
-  void Stop();
-  bool running() const { return thread_.joinable(); }
+  /// Autonomous mode: polls AdaptIfDrifted() every `period_ms` until Stop()
+  /// (idempotent; the destructor stops too).
+  void Start() { poller_.Start(); }
+  void Stop() { poller_.Stop(); }
+  bool running() const { return poller_.running(); }
 
   AdaptationStats Stats() const;
   const AdaptationConfig& config() const { return config_; }
@@ -156,7 +141,6 @@ class AdaptationController {
  private:
   AdaptationResult RunAdaptation(std::unique_lock<std::mutex> adapt_lock);
   void RecordOutcome(const AdaptationResult& result);
-  void PollLoop();
 
   serve::EstimationService* service_;
   FeedbackCollector* collector_;
@@ -171,10 +155,8 @@ class AdaptationController {
   AdaptationStats stats_;
   uint64_t last_attempt_observed_ = 0;
 
-  std::thread thread_;
-  std::mutex poll_mu_;
-  std::condition_variable poll_cv_;
-  bool stop_ = false;
+  /// Last member: destroyed, and so stopped, before anything its ticks use.
+  util::PeriodicWorker poller_;
 };
 
 }  // namespace uae::online

@@ -204,9 +204,10 @@ SubplanMemoRefresher::SubplanMemoRefresher(
     : uni_(uni),
       memo_(memo),
       collector_(collector),
-      config_(config),
       drift_(drift),
-      passthrough_(passthrough) {
+      passthrough_(passthrough),
+      poller_(std::chrono::milliseconds(config.poll_interval_ms),
+              [this] { RefreshOnce(); }) {
   UAE_CHECK(memo_ != nullptr);
   UAE_CHECK(collector_ != nullptr);
 }
@@ -232,33 +233,8 @@ size_t SubplanMemoRefresher::RefreshOnce() {
   return folded;
 }
 
-void SubplanMemoRefresher::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (worker_.joinable()) return;
-  stop_ = false;
-  worker_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      lock.unlock();
-      RefreshOnce();
-      lock.lock();
-      cv_.wait_for(lock, std::chrono::milliseconds(config_.poll_interval_ms),
-                   [this] { return stop_; });
-    }
-  });
-}
-
 void SubplanMemoRefresher::Stop() {
-  std::thread worker;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!worker_.joinable()) return;
-    stop_ = true;
-    cv_.notify_all();
-    worker = std::move(worker_);
-  }
-  worker.join();
-  RefreshOnce();  // Fold anything that raced the shutdown.
+  if (poller_.Stop()) RefreshOnce();  // Fold anything that raced the shutdown.
 }
 
 }  // namespace uae::optimizer

@@ -9,8 +9,9 @@
 // where it does not.
 //
 // Thread-safety: SubplanMemo is fully thread-safe (one mutex; all operations
-// are O(1)-ish map touches, never model evaluations). The refresher owns a
-// background thread; Start/Stop are idempotent and the destructor stops it.
+// are O(1)-ish map touches, never model evaluations). The refresher polls on
+// a util::PeriodicWorker; Start/Stop are idempotent and the destructor stops
+// it.
 //
 // Persistence: Save/Load use the same raw-stream style as nn/serialize
 // ("UAEM" magic, version, count, fixed-width little-endian fields). Cards are
@@ -18,18 +19,17 @@
 // so save -> load -> save reproduces the file byte for byte.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "data/imdb_star.h"
 #include "online/drift.h"
 #include "online/feedback.h"
+#include "util/periodic_worker.h"
 #include "util/status.h"
 #include "workload/join_workload.h"
 
@@ -127,8 +127,9 @@ struct SubplanMemoRefresherConfig {
 /// DriftMonitor is attached and the entry carries the estimate it was planned
 /// with, their q-errors feed per-generation drift tracking); single-table
 /// entries are forwarded to `passthrough` (the adaptation controller's
-/// collector) or dropped when none is given. Start() runs RefreshOnce on a
-/// background thread so planning threads never pay for memo maintenance.
+/// collector) or dropped when none is given. Start() runs RefreshOnce every
+/// poll interval on a background worker so planning threads never pay for
+/// memo maintenance.
 class SubplanMemoRefresher {
  public:
   SubplanMemoRefresher(const data::JoinUniverse& uni, SubplanMemo* memo,
@@ -142,22 +143,19 @@ class SubplanMemoRefresher {
   /// Drains the collector once; returns how many join entries were folded in.
   size_t RefreshOnce();
 
-  /// Starts/stops the background polling thread (idempotent).
-  void Start();
+  /// Starts/stops the background poll (idempotent). Stopping a running poll
+  /// ends with one final RefreshOnce, so nothing that raced it is left.
+  void Start() { poller_.Start(); }
   void Stop();
 
  private:
   const data::JoinUniverse& uni_;
   SubplanMemo* const memo_;
   online::FeedbackCollector* const collector_;
-  const SubplanMemoRefresherConfig config_;
   online::DriftMonitor* const drift_;
   online::FeedbackCollector* const passthrough_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread worker_;
+  /// Last member: destroyed, and so stopped, before anything its ticks use.
+  util::PeriodicWorker poller_;
 };
 
 }  // namespace uae::optimizer

@@ -1,7 +1,8 @@
-// Minimal write-only JSON builder used for machine-readable tool output
-// (bench/micro_nn.cc emits BENCH_kernels.json through it). Handles comma
-// placement and string escaping; the caller is responsible for well-formed
-// nesting (unbalanced Begin/End pairs are caught by UAE_CHECK in Finish).
+// Minimal write-only JSON builder used for machine-readable tool output:
+// bench/harness.cc writes every BENCH_*.json through it, and perfbench its
+// metric, fact and trace-span lines. Handles comma placement and string
+// escaping; the caller is responsible for well-formed nesting (unbalanced
+// Begin/End pairs are caught by UAE_CHECK in Finish).
 #pragma once
 
 #include <cstdint>

@@ -33,11 +33,9 @@ TEST(FlagsTest, ParsesKeyValuePairs) {
   EXPECT_EQ(flags.GetInt("rows", 0), 5000);
   EXPECT_DOUBLE_EQ(flags.GetDouble("lambda", 0.0), 0.01);
   EXPECT_EQ(flags.GetString("name", ""), "dmv");
-  EXPECT_TRUE(flags.GetBool("verbose", false));
   // Defaults for absent keys.
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_EQ(flags.GetString("missing", "x"), "x");
-  EXPECT_FALSE(flags.GetBool("missing", false));
 }
 
 TEST(FlagsTest, IgnoresNonFlagArguments) {

@@ -227,6 +227,57 @@ TEST(RefreshControllerTest, GuardVetoKeepsIncumbentAndStaysArmed) {
   EXPECT_EQ(f.service->CurrentGeneration(), 2u);
 }
 
+/// A one-query holdout (column 0 >= its first code) labeled on `table`.
+workload::Workload OneQueryHoldout(const data::Table& table) {
+  workload::Query q(table.num_cols());
+  workload::Predicate p;
+  p.col = 0;
+  p.op = workload::Op::kGe;
+  p.code = 0;
+  q.AddPredicate(p, table.column(0).domain());
+  workload::LabeledQuery lq;
+  lq.query = q;
+  lq.card = static_cast<double>(workload::ExecuteCount(table, q));
+  lq.selectivity = 1.0;
+  return {lq};
+}
+
+TEST(RefreshControllerTest, GuardRunsWheneverAHoldoutIsSet) {
+  Fixture f;
+  ASSERT_EQ(f.FeedShard(0, 48), 48u);
+  RefreshConfig rc;
+  EXPECT_DOUBLE_EQ(rc.guard_max_ratio, 1.0);  // AdaptationConfig's default.
+  rc.staleness.trigger_rows = 32;
+  // 0 means what it means for the adaptation guard: q-errors are >= 1, so no
+  // candidate can pass. It does not switch the guard off.
+  rc.guard_max_ratio = 0.0;
+  const workload::Workload holdout = OneQueryHoldout(f.table);
+  rc.holdout_provider = [holdout] { return holdout; };
+  RefreshController ctrl(f.ingest.get(), f.service.get(), f.model, rc);
+
+  EXPECT_EQ(ctrl.RefreshIfStale().outcome, RefreshOutcome::kRejectedByGuard);
+  EXPECT_EQ(f.service->CurrentGeneration(), 1u);
+}
+
+TEST(RefreshControllerTest, RefreshShardsCountsRepeatedIdsOnce) {
+  Fixture f;
+  const size_t sent = f.FeedShard(2, 40);
+  ASSERT_GT(sent, 0u);
+  RefreshController ctrl(f.ingest.get(), f.service.get(), f.model, {});
+  RefreshResult r = ctrl.RefreshShards({2, 2});
+  ASSERT_EQ(r.outcome, RefreshOutcome::kPublished);
+  EXPECT_EQ(r.refreshed_shards, (std::vector<int>{2}));
+  EXPECT_EQ(r.rows_ingested, sent);
+}
+
+TEST(RefreshControllerDeathTest, OutOfRangeShardIdAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Fixture f;
+  RefreshController ctrl(f.ingest.get(), f.service.get(), f.model, {});
+  EXPECT_DEATH(ctrl.RefreshShards({f.ingest->num_shards()}),
+               "shard id 4 outside \\[0, 4\\)");
+}
+
 TEST(RefreshControllerTest, EstimatesDeterministicWithinGeneration) {
   Fixture f;
   ASSERT_GT(f.FeedShard(2, 40), 0u);

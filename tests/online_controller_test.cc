@@ -11,6 +11,7 @@
 #include "core/uae.h"
 #include "data/synthetic.h"
 #include "online/controller.h"
+#include "serve/guard.h"
 #include "serve/service.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
@@ -69,8 +70,8 @@ TEST(RegressionGuardTest, RefusesProvablyWorseCandidate) {
   }
   ASSERT_GE(holdout.size(), 8u);
   core::Uae different(f.table, SmallConfig(/*seed=*/99));  // Never trained.
-  GuardVerdict verdict =
-      EvaluateCandidate(*f.trained, different, holdout, /*guard_max_ratio=*/1.0);
+  serve::GuardVerdict verdict = serve::EvaluateCandidate(
+      *f.trained, different, holdout, /*max_ratio=*/1.0);
   EXPECT_FALSE(verdict.accept);
   EXPECT_DOUBLE_EQ(verdict.incumbent_median, 1.0);
   EXPECT_GT(verdict.candidate_median, 1.0);
@@ -80,19 +81,22 @@ TEST(RegressionGuardTest, AcceptsEqualCandidateAndClones) {
   Fixture& f = Shared();
   workload::Workload holdout = LabeledQueries(f.table, 16, 9);
   // A model is never worse than itself ...
-  GuardVerdict self = EvaluateCandidate(*f.trained, *f.trained, holdout, 1.0);
+  serve::GuardVerdict self =
+      serve::EvaluateCandidate(*f.trained, *f.trained, holdout, 1.0);
   EXPECT_TRUE(self.accept);
   EXPECT_DOUBLE_EQ(self.candidate_median, self.incumbent_median);
   // ... and a Clone() is bit-identical at clone time (PR 3), so it ties.
   std::unique_ptr<core::Uae> clone = f.trained->Clone();
-  GuardVerdict cloned = EvaluateCandidate(*f.trained, *clone, holdout, 1.0);
+  serve::GuardVerdict cloned =
+      serve::EvaluateCandidate(*f.trained, *clone, holdout, 1.0);
   EXPECT_TRUE(cloned.accept);
   EXPECT_DOUBLE_EQ(cloned.candidate_median, cloned.incumbent_median);
 }
 
 TEST(RegressionGuardTest, EmptyHoldoutRejects) {
   Fixture& f = Shared();
-  GuardVerdict verdict = EvaluateCandidate(*f.trained, *f.trained, {}, 1.0);
+  serve::GuardVerdict verdict =
+      serve::EvaluateCandidate(*f.trained, *f.trained, {}, 1.0);
   EXPECT_FALSE(verdict.accept);  // Nothing proven => no swap.
 }
 

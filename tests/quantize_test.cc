@@ -16,8 +16,7 @@
 #include "data/synthetic.h"
 #include "nn/kernels.h"
 #include "nn/kernels_ref.h"
-#include "online/controller.h"
-#include "serve/quantize.h"
+#include "serve/guard.h"
 #include "serve/service.h"
 #include "util/quantiles.h"
 #include "util/rng.h"
@@ -178,12 +177,11 @@ TEST(QuantizePublishTest, FaithfulCandidatePublishes) {
   serve::EstimationService service(fp32);
   const uint64_t gen0 = service.CurrentGeneration();
 
-  serve::QuantizedPublishOptions opts;
-  opts.guard_max_ratio = 1.25;  // Same headroom as the degradation bound.
   auto candidate = std::make_shared<core::QuantizedUae>(f.uae);
-  serve::QuantizedPublishResult res =
-      serve::PublishQuantizedSnapshot(&service, candidate, f.holdout, opts);
-  EXPECT_TRUE(res.published);
+  serve::GuardVerdict res = serve::GuardedPublish(
+      &service, *fp32, candidate, f.holdout,
+      /*max_ratio=*/1.25);  // Same headroom as the degradation bound.
+  EXPECT_TRUE(res.accept);
   EXPECT_EQ(res.generation, gen0 + 1);
   EXPECT_EQ(service.CurrentGeneration(), gen0 + 1);
   // The served plane is now the quantized snapshot.
@@ -202,9 +200,9 @@ TEST(QuantizePublishTest, CorruptedCandidateIsRefusedAndIncumbentKeepsServing) {
   core::QuantizeOptions bad;
   bad.scale_multiplier = 64.f;
   auto candidate = std::make_shared<core::QuantizedUae>(f.uae, bad);
-  serve::QuantizedPublishResult res =
-      serve::PublishQuantizedSnapshot(&service, candidate, f.holdout);
-  EXPECT_FALSE(res.published);
+  serve::GuardVerdict res = serve::GuardedPublish(
+      &service, *fp32, candidate, f.holdout, /*max_ratio=*/1.05);
+  EXPECT_FALSE(res.accept);
   EXPECT_EQ(res.generation, 0u);
   EXPECT_GT(res.candidate_median, res.incumbent_median);
   EXPECT_EQ(service.CurrentGeneration(), gen0);
@@ -216,9 +214,9 @@ TEST(QuantizePublishTest, CorruptedCandidateIsRefusedAndIncumbentKeepsServing) {
   }
 
   // An empty holdout proves nothing and must also refuse.
-  serve::QuantizedPublishResult empty_res = serve::PublishQuantizedSnapshot(
-      &service, std::make_shared<core::QuantizedUae>(f.uae), {});
-  EXPECT_FALSE(empty_res.published);
+  serve::GuardVerdict empty_res = serve::GuardedPublish(
+      &service, *fp32, std::make_shared<core::QuantizedUae>(f.uae), {}, 1.05);
+  EXPECT_FALSE(empty_res.accept);
   EXPECT_EQ(service.CurrentGeneration(), gen0);
 }
 

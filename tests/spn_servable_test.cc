@@ -24,6 +24,7 @@
 #include "online/controller.h"
 #include "online/feedback.h"
 #include "router/router.h"
+#include "serve/guard.h"
 #include "serve/service.h"
 #include "shard/sharded_servable.h"
 #include "util/rng.h"
@@ -357,9 +358,9 @@ TEST(SpnServableTest, GuardRefusesWorseFineTunedCandidate) {
   spec.query_steps = 512;
   ASSERT_GT(candidate->FineTune(corrupted, spec), 0u);
 
-  const online::GuardVerdict verdict =
-      online::EvaluateCandidate(*incumbent, *candidate, s.test,
-                                /*guard_max_ratio=*/1.05);
+  const serve::GuardVerdict verdict =
+      serve::EvaluateCandidate(*incumbent, *candidate, s.test,
+                               /*max_ratio=*/1.05);
   EXPECT_FALSE(verdict.accept);
   EXPECT_GT(verdict.candidate_median, verdict.incumbent_median);
 
@@ -367,7 +368,7 @@ TEST(SpnServableTest, GuardRefusesWorseFineTunedCandidate) {
   auto stale = std::make_shared<SpnEstimator>(s.table, s.StaleConfig());
   auto good = stale->CloneServable();
   ASSERT_GT(good->FineTune(s.train, spec), 0u);
-  EXPECT_TRUE(online::EvaluateCandidate(*stale, *good, s.test, 1.05).accept);
+  EXPECT_TRUE(serve::EvaluateCandidate(*stale, *good, s.test, 1.05).accept);
 }
 
 TEST(SpnServableTest, RouterPromotesSpnWhereItsShadowQErrorWins) {
